@@ -53,13 +53,10 @@ from .indicator import (
 )
 from .counting import (
     CountContext,
-    HelperTables,
-    helper_tables,
     count_M,
     count_T,
     count_R,
     count_C,
-    count_C_tilde,
     count_X,
     count_O,
     count_O_j,
@@ -120,13 +117,10 @@ __all__ = [
     "indicator_table",
     "tally_indicators",
     "CountContext",
-    "HelperTables",
-    "helper_tables",
     "count_M",
     "count_T",
     "count_R",
     "count_C",
-    "count_C_tilde",
     "count_X",
     "count_O",
     "count_O_j",

@@ -15,11 +15,12 @@ integer cyclotomic basis matrices as the scalar oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
+from .counting import euler_phi, prime_factors, units
 from .cyclotomic import power_basis_rows
 from .matched_pair import divisors
 
@@ -42,10 +43,6 @@ __all__ = [
 
 def _dtype(n: int):
     return np.int8 if n <= 120 else np.int16
-
-
-def _unit_count(m: int) -> int:
-    return sum(1 for j in range(1, m) if math.gcd(j, m) == 1) if m > 1 else 1
 
 
 def perm_block(n: int, start: int, stop: int) -> np.ndarray:
@@ -110,11 +107,13 @@ def inverse_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_keys(X: np.ndarray) -> np.ndarray:
-    # Base-n encoding of the one-line form; fits int64 for n <= 16.
-    n = X.shape[1]
-    weights = n ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    return X[:, 1:].astype(np.int64) @ weights
+def _lex_less(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Row-wise A < B in lexicographic order, decided at the first
+    # differing column; exact for every n, unlike a packed integer key.
+    diff = A != B
+    first = np.argmax(diff, axis=1)
+    rows = np.arange(len(A))
+    return diff[rows, first] & (A[rows, first] < B[rows, first])
 
 
 def orbit_rep_mask(X: np.ndarray, t: int) -> np.ndarray:
@@ -123,14 +122,13 @@ def orbit_rep_mask(X: np.ndarray, t: int) -> np.ndarray:
     Rows already beaten by an earlier shift are dropped from later
     comparisons, so the expected work decays harmonically in l.
     """
-    keys = _row_keys(X)
     mask = np.ones(len(X), dtype=bool)
     for l in range(1, t):
         idx = np.flatnonzero(mask)
         if not len(idx):
             break
         sub = X[idx]
-        mask[idx] = keys[idx] < _row_keys(shift_rows(sub, l))
+        mask[idx] = _lex_less(sub, shift_rows(sub, l))
     return mask
 
 
@@ -248,21 +246,28 @@ def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def _sym_words(k: int) -> np.ndarray:
+    # Degree-(k+1) words fixing the top point, lex order over one-line forms.
+    words = [(0, *images) for images in permutations(range(1, k + 1))]
+    return np.array(words, dtype=np.int64)
+
+
 def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """All rows stabilized by a^t, built directly from (j, sigma, u) seeds.
 
-    The number of candidates is phi(n/t) * (n/t)^(t-1) * (t-1)!; the
+    Rows come in lexicographic seed order: j ascending over the units
+    mod n/t, sigma in one-line lexicographic order, u as a big-endian
+    odometer -- row k is ``build_from_seed`` of the k-th seed.  The
+    number of candidates is phi(n/t) * (n/t)^(t-1) * (t-1)!; the
     workload guard rejects strata that would not fit in memory anyway.
     """
-    from .construct import WorkloadExceeded, _sym_words, default_max_work
+    from .construct import WorkloadExceeded, default_max_work
 
+    if t < 1 or n % t:
+        raise ValueError(f"t={t} must divide n={n}")
     limit = default_max_work() if max_work is None else max_work
     m = n // t
-    candidates = (
-        math.factorial(n - 1)
-        if t == n
-        else _unit_count(m) * m ** (t - 1) * math.factorial(t - 1)
-    )
+    candidates = euler_phi(m) * m ** (t - 1) * math.factorial(t - 1)
     if candidates > limit:
         raise WorkloadExceeded(
             f"workload guard: stratum (n={n}, t={t}) has {candidates} "
@@ -271,14 +276,13 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     if t == n:
         # a^n = 1 stabilizes everything; the seeds degenerate to S_{n-1}.
         return perm_block(n, 0, math.factorial(n - 1))
-    units = [j for j in range(m) if math.gcd(j, m) == 1] if m > 1 else [0]
-    sigmas = np.array(list(_sym_words(t - 1)), dtype=np.int64)  # (S, t)
+    sigmas = _sym_words(t - 1)  # (S, t)
     n_u = m ** (t - 1)
     u_grid = np.empty((n_u, t - 1), dtype=np.int64)
     for i in range(t - 1):
         u_grid[:, i] = (np.arange(n_u) // m ** (t - 2 - i)) % m
     blocks = []
-    for j in units:
+    for j in units(m):
         jt = (j * t) % n
         for sw in sigmas:
             base = (u_grid * t + sw[None, 1:]) % n  # x(w), w = 1..t-1
@@ -296,15 +300,7 @@ def exact_stabilizer_rows(n: int, t: int, max_work: int | None = None) -> np.nda
     """Rows whose stabilizer is exactly <a^t> (the degree-t census set)."""
     X = stabilized_rows(n, t, max_work)
     keep = np.ones(len(X), dtype=bool)
-    tt, primes = t, []
-    p = 2
-    while tt > 1:
-        if tt % p == 0:
-            primes.append(p)
-            while tt % p == 0:
-                tt //= p
-        p += 1
-    for p in primes:
+    for p in prime_factors(t):
         keep &= ~_stabilized_by(X, t // p)
     return X[keep]
 
@@ -352,7 +348,7 @@ class SweepResult:
         )
 
 
-def sweep(n: int, chunk: int = 2_000_000, threads: int = 0) -> SweepResult:
+def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
     """Verify the two indicator routes against each other over every
     orbit of S_{n-1} and collect census tallies.
 
@@ -367,33 +363,16 @@ def sweep(n: int, chunk: int = 2_000_000, threads: int = 0) -> SweepResult:
     for t in divisors(n):
         res.m_counts[t] = 0
 
-    def handle(bounds: tuple[int, int]) -> list[tuple[int, int, np.ndarray]]:
-        X = perm_block(n, *bounds)
+    for start in range(0, total, chunk):
+        X = perm_block(n, start, min(start + chunk, total))
         t_arr = stabilizer_orders(X)
-        out = []
         for t in divisors(n):
             Xt = X[t_arr == t]
-            count = len(Xt)
-            if count and t > 1:
+            res.m_counts[t] += len(Xt)
+            if len(Xt) and t > 1:
                 Xt = Xt[orbit_rep_mask(Xt, t)]
-            out.append((t, count, Xt))
-        return out
-
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(handle, spans)
-            for parts in results:
-                for t, count, Xt in parts:
-                    res.m_counts[t] += count
-                    if len(Xt):
-                        buffers[t].append(Xt)
-    else:
-        for bounds in spans:
-            for t, count, Xt in handle(bounds):
-                res.m_counts[t] += count
-                if len(Xt):
-                    buffers[t].append(Xt)
+            if len(Xt):
+                buffers[t].append(Xt)
 
     for t in divisors(n):
         parts = buffers[t]

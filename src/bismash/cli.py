@@ -79,9 +79,6 @@ def _build_parser() -> _Parser:
             default=None,
             help="candidate cap for enumerations (default BISMASH_MAX_WORK or 1e8)",
         )
-        sp.add_argument(
-            "--threads", type=int, default=0, help="worker threads (0 = auto)"
-        )
 
     sp = sub.add_parser("indicators", help="indicator table for one degree")
     sp.add_argument("--n", type=int, required=True)
@@ -271,7 +268,7 @@ def _cmd_verify(args) -> int:
         bad = check_multiplication_associative(k)
         report(f"hopf_associative n={k}", not bad, f"{len(bad)} offending triples")
 
-    res = bulk.sweep(n, threads=args.threads)
+    res = bulk.sweep(n)
     report(
         "indicator_oracle_equivalence",
         res.mismatches == 0,

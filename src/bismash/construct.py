@@ -14,9 +14,11 @@ seed with j^2 = 1 mod n/t, sigma an involution, and u_i = -j*u_sigma(i).
 
 Streams are generated in lexicographic seed order (j ascending, sigma in
 one-line lexicographic order, u as a big-endian odometer), making runs
-deterministic and partitionable.  A workload guard caps the number of
-generated candidates; the factorial growth of the problem makes large
-(n, t) infeasible and the guard turns that into a clean error.
+deterministic and partitionable.  The strata themselves are expanded by
+``bulk.stabilized_rows``; the iterators here are views over its rows.  A
+workload guard caps the number of generated candidates; the factorial
+growth of the problem makes large (n, t) infeasible and the guard turns
+that into a clean error.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .matched_pair import Orbit, divisors, orbit, stabilizer
-from .perm import Permutation, is_involution
+from . import bulk
+from .counting import units
+from .matched_pair import Orbit, orbit, stabilizer
+from .perm import Permutation
 
 __all__ = [
     "WorkloadExceeded",
@@ -124,20 +128,6 @@ def extract_seed(x: Permutation) -> RemainderSeed:
     return RemainderSeed(n, t, j, Permutation(tuple(sigma_word)), u)
 
 
-def _units(m: int) -> list[int]:
-    if m == 1:
-        return [0]
-    return [j for j in range(1, m) if math.gcd(j, m) == 1]
-
-
-def _sym_words(k: int) -> Iterator[tuple[int, ...]]:
-    # Degree-(k+1) words fixing the top point, lex order over one-line forms.
-    from itertools import permutations
-
-    for images in permutations(range(1, k + 1)):
-        yield (0,) + images
-
-
 def _involution_words(k: int) -> Iterator[tuple[int, ...]]:
     # Involutions of {1..k}, embedded as degree-(k+1) words fixing 0,
     # in lex order over one-line forms.  Built by assigning the smallest
@@ -167,42 +157,16 @@ def _involution_words(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1)
 
 
-def _exact_stab_t(x: Permutation, t: int) -> bool:
-    # Exact stabilizer equals <a^t> iff no maximal proper divisor of t
-    # stabilizes x: testing t/p for each prime p | t suffices.
-    n = x.n
-    w = x.word
-    tt = t
-    p = 2
-    primes = []
-    while tt > 1:
-        if tt % p == 0:
-            primes.append(p)
-            while tt % p == 0:
-                tt //= p
-        p += 1
-    for p in primes:
-        d = t // p
-        xd = w[d % n]
-        if all((w[(u + d) % n] - xd) % n == w[u] for u in range(n)):
-            return False
-    return True
+def _perms(X) -> Iterator[Permutation]:
+    for row in X:
+        yield Permutation(tuple(row.tolist()))
 
 
 def enumerate_stabilized(
     n: int, t: int, max_work: int | None = None
 ) -> Iterator[Permutation]:
     """All x fixing n with a^t in the stabilizer (exactness not required)."""
-    if t < 1 or n % t:
-        raise ValueError(f"t={t} must divide n={n}")
-    m = n // t
-    meter = _WorkMeter(max_work)
-    for j in _units(m):
-        for sigma_word in _sym_words(t - 1):
-            sigma = Permutation(sigma_word) if t > 1 else Permutation((0,))
-            for u in product(range(m), repeat=t - 1):
-                meter.charge()
-                yield build_from_seed(RemainderSeed(n, t, j, sigma, u))
+    yield from _perms(bulk.stabilized_rows(n, t, max_work))
 
 
 def enumerate_exact_stabilizer(
@@ -210,9 +174,7 @@ def enumerate_exact_stabilizer(
 ) -> Iterator[Permutation]:
     """The x fixing n whose stabilizer is exactly <a^t>: the set counted
     by the stabilizer census.  Yields in deterministic seed order."""
-    for x in enumerate_stabilized(n, t, max_work):
-        if _exact_stab_t(x, t):
-            yield x
+    yield from _perms(bulk.exact_stabilizer_rows(n, t, max_work))
 
 
 def enumerate_involutions(
@@ -229,7 +191,7 @@ def enumerate_involutions(
         raise ValueError(f"t={t} must divide n={n}")
     m = n // t
     meter = _WorkMeter(max_work)
-    roots = [j for j in _units(m) if (j * j) % m == 1 % m]
+    roots = [j for j in units(m) if (j * j) % m == 1 % m]
     k_by_root = {j: [u for u in range(m) if (u * (j + 1)) % m == 0] for j in roots}
     for j in roots:
         k_set = k_by_root[j]
@@ -247,7 +209,7 @@ def enumerate_involutions(
                     u[i - 1] = v
                     u[i2 - 1] = (-j * v) % m
                 x = build_from_seed(RemainderSeed(n, t, j, sigma, tuple(u)))
-                if _exact_stab_t(x, t):
+                if stabilizer(x).t == t:
                     yield x
 
 
@@ -269,11 +231,9 @@ def enumerate_orbit_reps(
     """One Orbit per equivalence class with stabilizer order t, keyed by
     the canonical (lexicographically smallest) representative;
     optionally only orbits containing exactly r involutions."""
-    for x in enumerate_exact_stabilizer(n, t, max_work):
-        orb = orbit(x)
-        if orb.representative != x:
-            continue
-        if r is not None:
-            if sum(1 for y in orb.members if is_involution(y)) != r:
-                continue
-        yield orb
+    X = bulk.exact_stabilizer_rows(n, t, max_work)
+    reps = X[bulk.orbit_rep_mask(X, t)]
+    if r is not None:
+        reps = reps[bulk.orbit_involution_counts(reps, t) == r]
+    for x in _perms(reps):
+        yield orbit(x)

@@ -37,6 +37,8 @@ from math import comb, factorial, gcd
 from .matched_pair import divisors
 
 __all__ = [
+    "prime_factors",
+    "units",
     "euler_phi",
     "omega",
     "involution_count",
@@ -56,14 +58,11 @@ __all__ = [
     "delta_bar",
     "delta_zero",
     "delta_nonzero",
-    "HelperTables",
-    "helper_tables",
     "CountContext",
     "count_M",
     "count_T",
     "count_R",
     "count_C",
-    "count_C_tilde",
     "count_X",
     "count_O",
     "count_O_j",
@@ -76,7 +75,8 @@ __all__ = [
 # -- elementary number theory -----------------------------------------
 
 
-def _factorize(m: int) -> dict[int, int]:
+def prime_factors(m: int) -> dict[int, int]:
+    """Prime factorization of m as {prime: exponent}, primes ascending."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= m:
@@ -89,12 +89,17 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
+def units(m: int) -> list[int]:
+    """The residues 0..m-1 coprime to m, ascending; [0] for m = 1."""
+    return [j for j in range(m) if gcd(j, m) == 1]
+
+
 def euler_phi(m: int) -> int:
     """Count of residues coprime to m."""
     if m < 1:
         raise ValueError("m must be positive")
     out = 1
-    for p, e in _factorize(m).items():
+    for p, e in prime_factors(m).items():
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -103,7 +108,7 @@ def omega(m: int) -> int:
     """Number of distinct prime divisors of m."""
     if m < 1:
         raise ValueError("m must be positive")
-    return len(_factorize(m))
+    return len(prime_factors(m))
 
 
 def involution_count(m: int) -> int:
@@ -235,85 +240,6 @@ def _delta_l(j: int, m: int, r: int, l: int, cap: int) -> int:
     if p_c_set(j, m):
         return 1
     return 1 if 2 * l == cap - m_ratio(j, m, r) else 0
-
-
-@dataclass(frozen=True)
-class HelperTables:
-    """The commonly cited residue sets and gate values for one parameter
-    tuple; entries whose parameters were not supplied are None."""
-
-    n: int
-    t: int
-    e_set: tuple[int, ...]
-    k_set: tuple[int, ...] | None = None
-    alpha: int | None = None
-    p_set: tuple[int, ...] | None = None
-    p_c_set: tuple[int, ...] | None = None
-    delta_pc: int | None = None
-    kbar_set: tuple[int, ...] | None = None
-    kbar_c_set: tuple[int, ...] | None = None
-    delta_kc: int | None = None
-    ebar_set: tuple[int, ...] | None = None
-    beta: int | None = None
-    delta_exists: int | None = None
-    m_ratio: int | None = None
-    k_prime_set: tuple[int, ...] | None = None
-    delta_bar: int | None = None
-    delta_zero: int | None = None
-    delta_nonzero: int | None = None
-
-
-def helper_tables(
-    n: int,
-    t: int,
-    *,
-    s: int | None = None,
-    j: int | None = None,
-    j_sigma: int | None = None,
-    j_prime: int | None = None,
-    r: int | None = None,
-    u: int | None = None,
-    i: int | None = None,
-) -> HelperTables:
-    """Assemble the helper entries applicable to the given parameters.
-
-    Raises on non-divisor arguments; all residues are normalized to
-    {0..m-1} before use.
-    """
-    if n < 1 or t < 1 or n % t:
-        raise ValueError(f"t={t} must divide n={n}")
-    if s is not None and (s < 1 or t % s):
-        raise ValueError(f"s={s} must divide t={t}")
-    m = n // t
-    out: dict = {"n": n, "t": t, "e_set": e_set(m)}
-    if j is not None:
-        j %= m
-        out.update(
-            k_set=k_set(j, m),
-            alpha=alpha(j, m),
-            p_set=p_set(j, m),
-            p_c_set=p_c_set(j, m),
-            delta_pc=delta_pc(j, m),
-            beta=beta(j, m),
-        )
-        if r is not None:
-            out["delta_exists"] = delta_exists(j, m, r, t)
-            if r % beta(j, m) == 0:
-                out["m_ratio"] = m_ratio(j, m, r)
-        if t == 2:
-            out["k_prime_set"] = k_prime_set(j, m)
-            if u is not None:
-                out["delta_bar"] = delta_bar(u, j, m)
-            if u is not None and i is not None:
-                out["delta_zero"] = delta_zero(i, u, m)
-                out["delta_nonzero"] = delta_nonzero(i, u, m)
-    if s is not None and j_sigma is not None:
-        out["ebar_set"] = ebar_set(j_sigma, n, t, s)
-        if j_prime is not None:
-            out["kbar_set"] = kbar_set(j_prime, j_sigma, n, t, s)
-            out["kbar_c_set"] = kbar_set(j_prime, j_sigma, n, t, s, complement=True)
-            out["delta_kc"] = delta_kc(j_prime, j_sigma, n, t, s)
-    return HelperTables(**out)
 
 
 # -- the counting tower -------------------------------------------------
@@ -483,11 +409,6 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
         total -= sum(count_C(ctx, t, p, r, j_gate) for p in divisors(s)[:-1])
         ctx.memo[key] = total
     return ctx.memo[key]
-
-
-def count_C_tilde(ctx: CountContext, t: int, s: int, r: int, j: int) -> int:
-    """The j-gated overcount used by the per-j orbit count."""
-    return count_C(ctx, t, s, r, j_gate=j)
 
 
 def count_X(ctx: CountContext, t: int, r: int) -> int:

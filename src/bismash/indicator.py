@@ -30,12 +30,12 @@ exhaustively for small degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import bulk
 from .cyclotomic import CyclotomicAccumulator
 from .matched_pair import (
-    Orbit,
     act_left,
+    divisors,
     inversion_data,
     orbit,
     stabilizer,
@@ -162,14 +162,11 @@ def indicator_table(
     optionally restricted to dimension ``filter_t``.
 
     Orbit representatives are generated by stabilizer-constrained
-    construction rather than a scan of all (n-1)! permutations; the
-    workload guard of the enumeration layer applies.  Rows are sorted by
+    construction rather than a scan of all (n-1)! permutations, and
+    evaluated with the array form of the congruence route; the workload
+    guard of the enumeration layer applies.  Rows are sorted by
     (t, representative one-line form, i) so output is deterministic.
     """
-    from .construct import enumerate_orbit_reps  # local: avoids import cycle
-
-    from .matched_pair import divisors
-
     if n < 2:
         raise ValueError("degree must be at least 2")
     ts = [filter_t] if filter_t is not None else divisors(n)
@@ -177,12 +174,12 @@ def indicator_table(
         raise ValueError(f"t={filter_t} does not divide n={n}")
     rows: list[tuple[IrrepDescriptor, int]] = []
     for t in ts:
-        m = n // t
-        for orb in enumerate_orbit_reps(n, t, max_work=max_work):
-            rep = orb.representative
-            for i in range(m):
-                d = IrrepDescriptor(rep, t, i)
-                rows.append((d, indicator_reduced(d)))
+        X = bulk.exact_stabilizer_rows(n, t, max_work)
+        reps = X[bulk.orbit_rep_mask(X, t)]
+        for row, values in zip(reps, bulk.reduced_indicator_rows(reps, t)):
+            rep = Permutation(tuple(row.tolist()))
+            for i, v in enumerate(values.tolist()):
+                rows.append((IrrepDescriptor(rep, t, i), v))
     rows.sort(key=lambda row: (row[0].t, row[0].orbit_rep.one_line(), row[0].i))
     return rows
 

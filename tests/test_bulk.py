@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bismash import bulk
-from bismash.counting import CountContext, count_I_t2, count_M, count_O
+from bismash.construct import RemainderSeed, build_from_seed
+from bismash.counting import CountContext, count_I_t2, count_M, count_O, units
 from bismash.indicator import IrrepDescriptor, indicator_bruteforce, indicator_reduced
 from bismash.matched_pair import divisors, inversion_data, orbit, stabilizer
 from bismash.perm import Permutation
@@ -117,6 +118,33 @@ def test_orbit_rep_mask_and_involution_counts():
             assert int((counts == r).sum()) == count_O(ctx, t, r)
 
 
+def test_orbit_rep_mask_keeps_canonical_reps_past_degree_16():
+    # A base-n packed int64 row key wraps for n >= 17; the mask must still
+    # keep exactly the lexicographically smallest member of each orbit.
+    for n, t in [(18, 3), (20, 4), (24, 3), (46, 2), (48, 3)]:
+        X = bulk.exact_stabilizer_rows(n, t)
+        kept = {x.word for x in rows_to_perms(X[bulk.orbit_rep_mask(X, t)])}
+        canonical = {orbit(x).representative.word for x in rows_to_perms(X)}
+        assert kept == canonical
+        assert len(kept) * t == len(X)
+
+
+def test_stabilized_rows_follow_seed_order():
+    # The array expander against the scalar definition, seed by seed.
+    for n, t in [(2, 2), (5, 1), (5, 5), (6, 3), (8, 4), (9, 3), (12, 2), (12, 4)]:
+        m = n // t
+        want = [
+            build_from_seed(
+                RemainderSeed(n, t, j, Permutation((0, *images)), u)
+            ).word
+            for j in units(m)
+            for images in itertools.permutations(range(1, t))
+            for u in itertools.product(range(m), repeat=t - 1)
+        ]
+        got = [x.word for x in rows_to_perms(bulk.stabilized_rows(n, t))]
+        assert got == want
+
+
 def test_census_by_dimension_known_values():
     assert bulk.census_by_dimension(12, 2) == (30, 2, 16)
     assert bulk.census_by_dimension(12, 6)[1] == 42
@@ -139,10 +167,11 @@ def test_sweep_small_degrees():
                 assert c == count_O(ctx, t, r)
 
 
-def test_sweep_threaded_is_deterministic():
-    base = bulk.sweep(7, chunk=100)
-    threaded = bulk.sweep(7, chunk=100, threads=4)
-    assert base.m_counts == threaded.m_counts
-    assert base.tallies == threaded.tallies
-    assert base.orbit_involutions == threaded.orbit_involutions
-    assert threaded.mismatches == 0
+def test_sweep_chunk_split_is_deterministic():
+    base = bulk.sweep(7)
+    split = bulk.sweep(7, chunk=100)
+    assert base.m_counts == split.m_counts
+    assert base.orbit_counts == split.orbit_counts
+    assert base.tallies == split.tallies
+    assert base.orbit_involutions == split.orbit_involutions
+    assert split.mismatches == 0

@@ -13,7 +13,6 @@ from bismash.counting import (
     alpha,
     beta,
     count_C,
-    count_C_tilde,
     count_I_odd,
     count_I_t2,
     count_M,
@@ -22,12 +21,15 @@ from bismash.counting import (
     count_R,
     count_T,
     count_X,
+    delta_exists,
+    delta_pc,
     e_set,
+    ebar_set,
     euler_phi,
-    helper_tables,
     involution_count,
     k_prime_set,
     k_set,
+    m_ratio,
     omega,
     p_c_set,
     p_set,
@@ -101,20 +103,18 @@ def test_p_k_dichotomy():
                 assert a * b == 2 * m
 
 
-def test_helper_tables_assembly():
-    h = helper_tables(12, 2, j=5)
-    assert h.e_set == (1, 5)
-    assert h.k_set == (0, 1, 2, 3, 4, 5)
-    assert h.alpha == 6
-    h = helper_tables(8, 4, j=1, r=2)
-    assert h.beta == 2 and h.delta_exists == 1 and h.m_ratio == 1
-    assert h.p_set == (0,) and h.p_c_set == (1,) and h.delta_pc == 1
-    h = helper_tables(12, 3, s=1, j_sigma=2, j_prime=5)
-    assert h.ebar_set == (5, 11)
+def test_helper_sets_worked_values():
+    # n = 12, t = 2, j = 5: m = 6
+    assert e_set(6) == (1, 5)
+    assert k_set(5, 6) == (0, 1, 2, 3, 4, 5)
+    assert alpha(5, 6) == 6
+    # n = 8, t = 4, j = 1, r = 2: m = 2
+    assert beta(1, 2) == 2 and delta_exists(1, 2, 2, 4) == 1 and m_ratio(1, 2, 2) == 1
+    assert p_set(1, 2) == (0,) and p_c_set(1, 2) == (1,) and delta_pc(1, 2) == 1
+    # n = 12, t = 3, s = 1, j_sigma = 2
+    assert ebar_set(2, 12, 3, 1) == (5, 11)
     with pytest.raises(ValueError):
-        helper_tables(12, 5)
-    with pytest.raises(ValueError):
-        helper_tables(12, 6, s=4)
+        m_ratio(1, 2, 3)  # beta = 2 does not divide r = 3
 
 
 def test_k_prime_set_dimension_two():
@@ -240,7 +240,7 @@ def test_overcount_terms_marginalize():
             for s in divisors(t)[:-1]:
                 for r in range(1, t + 1):
                     total = sum(
-                        count_C_tilde(ctx, t, s, r, j) for j in e_set(n // t)
+                        count_C(ctx, t, s, r, j_gate=j) for j in e_set(n // t)
                     )
                     assert total == count_C(ctx, t, s, r)
 

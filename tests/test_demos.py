@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_present():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+    )
+    assert proc.returncode == 0, proc.stderr

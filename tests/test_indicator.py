@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bismash.counting import CountContext, count_M
 from bismash.indicator import (
     IrrepDescriptor,
     group_indicator_cn,
@@ -114,6 +115,18 @@ def test_indicator_table_tallies_degree_12():
     assert (tal[1], tal[-1], tal[0]) == (30, 2, 16)
     classes = tally_indicators(rows, weighted=False)
     assert (classes[1], classes[-1], classes[0]) == (15, 1, 8)
+
+
+def test_indicator_table_matches_scalar_route():
+    # Degrees past 16, where a base-n packed row key would overflow int64.
+    for n, t in [(18, 3), (20, 4), (24, 3)]:
+        rows = indicator_table(n, t)
+        reps = {d.orbit_rep for d, _v in rows}
+        assert len(rows) == len(reps) * (n // t)
+        assert len(reps) * t == count_M(CountContext(n), t)
+        for d, v in rows:
+            assert orbit(d.orbit_rep).representative == d.orbit_rep
+            assert v == indicator_reduced(d)
 
 
 def test_indicator_table_sorted_and_validates():
