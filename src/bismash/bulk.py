@@ -4,8 +4,11 @@ Rows are residue words stored as numpy arrays of shape (N, n): column u
 holds x(u) mod n, column 0 is identically 0 (the fixed top point).  All
 the scalar operations of the package (shift action, stabilizer order,
 inverse, smallest inverting shift, both indicator routes) have
-array-level counterparts here so that full sweeps over S_{n-1} -- about
-40 million permutations at n = 12 -- stay inside a few minutes.
+array-level counterparts here.  A full sweep over S_{n-1} (39,916,800
+permutations at n = 12) lists the permutations as lexicographic prefixes
+times one cached table of the last min(n-1, 8) positions, settles most
+rows of the stabilizer and orbit tests on a single column, and evaluates
+both routes chunk by chunk, so its memory is bounded by the chunk size.
 
 Nothing here is approximate: the work is integer array arithmetic, and
 the brute-force route reduces its root-of-unity sums through the same
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -45,27 +49,52 @@ def _dtype(n: int):
     return np.int8 if n <= 120 else np.int16
 
 
+# Length of the suffix listed by the precomputed table: 8! rows of
+# 8 columns, small enough to stay in cache while it is gathered.
+_SUFFIX = 8
+
+
+@lru_cache(maxsize=None)
+def _suffix_table(s: int) -> np.ndarray:
+    # The s! permutations of range(s), in lexicographic order.
+    table = np.array(list(permutations(range(s))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def perm_block(n: int, start: int, stop: int) -> np.ndarray:
     """Rows ``start..stop-1`` of the lexicographic listing of S_{n-1}.
 
-    Decoded from ranks in the factorial number system, fully vectorized;
-    row r is the r-th word (x(1), ..., x(n-1)) over symbols {1..n-1}.
+    Row r is the r-th word (x(1), ..., x(n-1)) over symbols {1..n-1}.
+    With s = min(n-1, 8) the listing falls into blocks of s! rows that
+    share their first n-1-s symbols (the prefix).  Each prefix is decoded
+    from its block index with Python integers, so windows past 2**63
+    work as well; its block is the remaining symbols, sorted, gathered
+    through the cached table of the s! permutations of range(s).
+    Raises ValueError unless 0 <= start <= stop <= (n-1)!.
     """
     k = n - 1
-    ranks = np.arange(start, stop, dtype=np.int64)
-    count = len(ranks)
-    out = np.zeros((count, n), dtype=_dtype(n))
-    avail = np.ones((count, k), dtype=bool)
-    rows = np.arange(count)
-    rem = ranks.copy()
-    for col in range(k):
-        f = math.factorial(k - 1 - col)
-        idx = rem // f
-        rem %= f
-        csum = np.cumsum(avail, axis=1)
-        pos = np.argmax(csum == (idx + 1)[:, None], axis=1)
-        out[:, col + 1] = pos + 1
-        avail[rows, pos] = False
+    total = math.factorial(k)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"window [{start}, {stop}) outside [0, {total}] for n={n}")
+    s = min(k, _SUFFIX)
+    table = _suffix_table(s)
+    size = len(table)
+    out = np.zeros((stop - start, n), dtype=_dtype(n))
+    for q in range(start // size, -(-stop // size)):
+        # Block q, read in mixed radix (k, k-1, ..., s+1), picks the prefix.
+        free = list(range(1, n))
+        prefix = []
+        rem = q
+        for col in range(k - s):
+            i, rem = divmod(rem, math.factorial(k - 1 - col) // size)
+            prefix.append(free.pop(i))
+        lo, hi = max(start, q * size), min(stop, (q + 1) * size)
+        rows = slice(lo - start, hi - start)
+        out[rows, 1 : 1 + k - s] = prefix
+        out[rows, 1 + k - s :] = np.array(free, dtype=out.dtype)[
+            table[lo - q * size : hi - q * size]
+        ]
     return out
 
 
@@ -93,7 +122,8 @@ def stabilizer_orders(X: np.ndarray) -> np.ndarray:
         if d == n:
             t[open_rows] = n
             break
-        idx = np.flatnonzero(open_rows)
+        # Column 1 of the full test, x(1+d) - x(d) = x(1), is necessary.
+        idx = np.flatnonzero(open_rows & ((X[:, (1 + d) % n] - X[:, d]) % n == X[:, 1]))
         ok = _stabilized_by(X[idx], d)
         t[idx[ok]] = d
     return t
@@ -120,15 +150,24 @@ def orbit_rep_mask(X: np.ndarray, t: int) -> np.ndarray:
     """True where the row is the lexicographically smallest in its orbit.
 
     Rows already beaten by an earlier shift are dropped from later
-    comparisons, so the expected work decays harmonically in l.
+    comparisons, so the expected work decays harmonically in l.  Column
+    0 is 0 in every row, so column 1 decides each comparison unless the
+    row and its shift tie there; only ties are compared in full.
     """
+    n = X.shape[1]
     mask = np.ones(len(X), dtype=bool)
     for l in range(1, t):
         idx = np.flatnonzero(mask)
         if not len(idx):
             break
-        sub = X[idx]
-        mask[idx] = _lex_less(sub, shift_rows(sub, l))
+        mine = X[idx, 1]
+        shifted = (X[idx, (l + 1) % n] - X[idx, l]) % n
+        wins = mine < shifted
+        tie = np.flatnonzero(mine == shifted)
+        if len(tie):
+            sub = X[idx[tie]]
+            wins[tie] = _lex_less(sub, shift_rows(sub, l))
+        mask[idx] = wins
     return mask
 
 
@@ -246,12 +285,6 @@ def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _sym_words(k: int) -> np.ndarray:
-    # Degree-(k+1) words fixing the top point, lex order over one-line forms.
-    words = [(0, *images) for images in permutations(range(1, k + 1))]
-    return np.array(words, dtype=np.int64)
-
-
 def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """All rows stabilized by a^t, built directly from (j, sigma, u) seeds.
 
@@ -276,7 +309,7 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     if t == n:
         # a^n = 1 stabilizes everything; the seeds degenerate to S_{n-1}.
         return perm_block(n, 0, math.factorial(n - 1))
-    sigmas = _sym_words(t - 1)  # (S, t)
+    sigmas = perm_block(t, 0, math.factorial(t - 1))  # (S, t)
     n_u = m ** (t - 1)
     u_grid = np.empty((n_u, t - 1), dtype=np.int64)
     for i in range(t - 1):
@@ -353,46 +386,39 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
     orbit of S_{n-1} and collect census tallies.
 
     Streams the (n-1)! permutations in chunks, keeps one canonical
-    representative per orbit, then evaluates both indicator routes on
-    every representative and every character index.  Tallies use the
-    per-(permutation, character) convention (orbit rows weighted by t).
+    representative per orbit and evaluates both indicator routes on it
+    for every character index, chunk by chunk: each orbit's canonical
+    member lies in exactly one chunk, so memory is bounded by the chunk
+    size.  Tallies use the per-(permutation, character) convention
+    (orbit rows weighted by t).
     """
     total = math.factorial(n - 1)
     res = SweepResult(n=n, permutations=total)
-    buffers: dict[int, list[np.ndarray]] = {t: [] for t in divisors(n)}
     for t in divisors(n):
         res.m_counts[t] = 0
+        res.orbit_counts[t] = 0
+        res.tallies[t] = {1: 0, -1: 0, 0: 0}
+        res.orbit_involutions[t] = {}
 
     for start in range(0, total, chunk):
         X = perm_block(n, start, min(start + chunk, total))
         t_arr = stabilizer_orders(X)
         for t in divisors(n):
-            Xt = X[t_arr == t]
-            res.m_counts[t] += len(Xt)
-            if len(Xt) and t > 1:
-                Xt = Xt[orbit_rep_mask(Xt, t)]
-            if len(Xt):
-                buffers[t].append(Xt)
-
-    for t in divisors(n):
-        parts = buffers[t]
-        reps = (
-            np.concatenate(parts, axis=0)
-            if parts
-            else np.zeros((0, n), dtype=_dtype(n))
-        )
-        res.orbit_counts[t] = len(reps)
-        tally = {1: 0, -1: 0, 0: 0}
-        hist: dict[int, int] = {}
-        if len(reps):
+            reps = X[t_arr == t]
+            res.m_counts[t] += len(reps)
+            if len(reps) and t > 1:
+                reps = reps[orbit_rep_mask(reps, t)]
+            if not len(reps):
+                continue
+            res.orbit_counts[t] += len(reps)
             red = reduced_indicator_rows(reps, t)
             bru = bruteforce_indicator_rows(reps, t)
             res.mismatches += int((red != bru).sum())
-            for v in (1, -1, 0):
-                tally[v] = int((red == v).sum()) * t
+            tally = res.tallies[t]
+            for v in tally:
+                tally[v] += int((red == v).sum()) * t
+            hist = res.orbit_involutions[t]
             counts = orbit_involution_counts(reps, t)
-            vals, freq = np.unique(counts, return_counts=True)
-            hist = {int(v): int(c) for v, c in zip(vals, freq)}
-        res.tallies[t] = tally
-        res.orbit_involutions[t] = hist
+            for v, c in zip(*np.unique(counts, return_counts=True)):
+                hist[int(v)] = hist.get(int(v), 0) + int(c)
     return res

@@ -29,14 +29,48 @@ def test_perm_block_matches_lexicographic_listing():
         Xa = bulk.perm_block(n, 0, mid)
         Xb = bulk.perm_block(n, mid, total)
         assert (np.concatenate([Xa, Xb]) == X).all()
+    # Windows across suffix-table blocks (8! rows) and prefix changes;
+    # (14, 3000..) covers the range criterion 3's degree-14 sample reads.
+    block = math.factorial(8)
+    for n, start, stop in [
+        (10, block - 100, 2 * block + 100),
+        (10, 4 * block + 7, 5 * block - 7),
+        (11, math.factorial(9) - 50, math.factorial(9) + block + 50),
+        (11, 2 * block, 3 * block),
+        (14, 3000, 3000 + block),
+    ]:
+        X = bulk.perm_block(n, start, stop)
+        direct = itertools.islice(itertools.permutations(range(1, n)), start, stop)
+        assert X.shape == (stop - start, n)
+        assert (X[:, 0] == 0).all()
+        assert [tuple(int(v) for v in row[1:]) for row in X] == list(direct)
+    # Prefixes are decoded with Python integers: 21! is past 2**63.
+    n, total = 22, math.factorial(21)
+    tail = bulk.perm_block(n, total - 6, total)
+    want = [(*range(21, 3, -1), *p) for p in itertools.permutations((1, 2, 3))]
+    assert [tuple(int(v) for v in row[1:]) for row in tail] == want
+    assert tuple(int(v) for v in tail[-1]) == (0, *range(21, 0, -1))
+    # Windows outside [0, (n-1)!] are rejected instead of wrapping.
+    bad = [(5, 20, 28), (5, 0, 25), (22, 0, total + 1), (8, -1, 3), (8, 9, 8)]
+    for n, start, stop in bad:
+        with pytest.raises(ValueError):
+            bulk.perm_block(n, start, stop)
 
 
 def test_stabilizer_orders_match_scalar():
-    for n in (6, 8, 9):
+    for n in (6, 8, 9, 10):
         X = bulk.perm_block(n, 0, math.factorial(n - 1))
         t_arr = bulk.stabilizer_orders(X)
         for row, t in zip(rows_to_perms(X), t_arr):
             assert stabilizer(row).t == int(t)
+    # The proper strata of degree 12 hold rows that pass the column-1
+    # test for a divisor below their own order; the full test rejects them.
+    for t in divisors(12)[:-1]:
+        X = bulk.exact_stabilizer_rows(12, t)
+        t_arr = bulk.stabilizer_orders(X)
+        assert (t_arr == t).all()
+        for row in rows_to_perms(X):
+            assert stabilizer(row).t == t
 
 
 def test_shift_and_inverse_rows():
@@ -175,3 +209,5 @@ def test_sweep_chunk_split_is_deterministic():
     assert base.tallies == split.tallies
     assert base.orbit_involutions == split.orbit_involutions
     assert split.mismatches == 0
+    # A chunk that is no multiple of 8! splits suffix blocks and orbits.
+    assert bulk.sweep(10, chunk=50_000) == bulk.sweep(10)
