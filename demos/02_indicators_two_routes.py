@@ -10,6 +10,7 @@ must agree everywhere -- and the skew case really occurs.
 
 from bismash import (
     IrrepDescriptor,
+    Permutation,
     from_cycles,
     indicator_bruteforce,
     indicator_reduced,
@@ -29,14 +30,18 @@ for i in range(8):
 
 print()
 print("degree 2: the unique totally orthogonal case")
-for d, v in indicator_table(2):
-    print(f"  module (rep={d.orbit_rep}, t={d.t}, i={d.i}): {v:+d}")
+for t, reps, values in indicator_table(2):
+    for row, vals in zip(reps.tolist(), values.tolist()):
+        for i, v in enumerate(vals):
+            print(f"  module (rep={Permutation(row)}, t={t}, i={i}): {v:+d}")
 
 print()
 print("degree 12, dimension 2: the census splits 30 / 2 / 16")
-rows = indicator_table(12, 2)
-tal = tally_indicators(rows)
+table = indicator_table(12, 2)
+tal = tally_indicators(table)
 print(f"  per-(permutation, character) tallies: +1: {tal[1]}, -1: {tal[-1]}, 0: {tal[0]}")
-for d, v in rows:
-    if v == -1:
-        print(f"  the skew class: rep {d.orbit_rep}, i={d.i}")
+for t, reps, values in table:
+    for row, vals in zip(reps.tolist(), values.tolist()):
+        for i, v in enumerate(vals):
+            if v == -1:
+                print(f"  the skew class: rep {Permutation(row)}, i={i}")

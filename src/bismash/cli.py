@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from collections import Counter
+from contextlib import nullcontext
+from typing import Iterable
 
 from . import bulk
 from .construct import WorkloadExceeded, default_max_work, enumerate_involutions
@@ -48,6 +50,7 @@ from .hopf import (
 )
 from .indicator import indicator_table, tally_indicators
 from .matched_pair import divisors
+from .perm import Permutation, fixed_points
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,24 +109,21 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(rows: list[dict], columns: list[str], args) -> None:
-    if args.format == "json":
-        text = json.dumps(
-            [{c: row.get(c, "") for c in columns} for row in rows], indent=0
-        )
-        text += "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in columns})
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(rows: Iterable[dict], columns: list[str], args) -> None:
+    # Rows are written as they arrive; the JSON framing reproduces
+    # json.dumps(list(rows), indent=0) + "\n" byte for byte.
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            encoder = json.JSONEncoder(indent=0)
+            sep = "[\n"
+            for row in rows:
+                fh.write(sep + encoder.encode({c: row.get(c, "") for c in columns}))
+                sep = ",\n"
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        else:
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 _IND_COLUMNS = ["n", "t", "orbit_rep", "i", "indicator"]
@@ -137,19 +137,17 @@ def _cmd_indicators(args) -> int:
         raise _UsageError(f"--n must be at least 2, got {n}")
     if args.t is not None and (args.t < 1 or n % args.t):
         raise _UsageError(f"--t must divide n={n}")
-    rows = indicator_table(n, args.t, max_work=args.max_work)
-    out = [
-        {
-            "n": n,
-            "t": d.t,
-            "orbit_rep": str(d.orbit_rep),
-            "i": d.i,
-            "indicator": v,
-        }
-        for d, v in rows
-    ]
-    _emit(out, _IND_COLUMNS, args)
-    tal = tally_indicators(rows)
+    table = indicator_table(n, args.t, max_work=args.max_work)
+    rows = (
+        {"n": n, "t": t, "orbit_rep": rep, "i": i, "indicator": v}
+        for t, reps, values in table
+        for rep, vals in zip(
+            (str(Permutation(row)) for row in reps.tolist()), values.tolist()
+        )
+        for i, v in enumerate(vals)
+    )
+    _emit(rows, _IND_COLUMNS, args)
+    tal = tally_indicators(table)
     print(
         f"summary n={n} t={args.t if args.t is not None else 'all'}: "
         f"+1={tal[1]} -1={tal[-1]} 0={tal[0]}",
@@ -245,14 +243,11 @@ def _cmd_verify(args) -> int:
     n = args.n
     if n < 2:
         raise _UsageError(f"--n must be at least 2, got {n}")
-    max_work = args.max_work if args.max_work is not None else default_max_work()
-    if math.factorial(n - 1) > max_work:
-        print(
+    if math.factorial(n - 1) > args.max_work:
+        raise WorkloadExceeded(
             f"workload guard: sweep of {math.factorial(n - 1)} permutations "
-            f"exceeds limit {max_work}",
-            file=sys.stderr,
+            f"exceeds limit {args.max_work}"
         )
-        return EXIT_WORKLOAD
     rows: list[dict] = []
 
     def report(check: str, ok: bool, detail: str) -> None:
@@ -284,13 +279,13 @@ def _cmd_verify(args) -> int:
 
     t_ok, r_ok = True, True
     for t in divisors(n):
-        inv = list(enumerate_involutions(n, t, max_work=max_work))
-        t_ok &= len(inv) == count_T(ctx, t)
+        fixed = Counter(
+            len(fixed_points(x))
+            for x in enumerate_involutions(n, t, max_work=args.max_work)
+        )
+        t_ok &= sum(fixed.values()) == count_T(ctx, t)
         for r in range(1, n + 1):
-            want = sum(
-                1 for x in inv if sum(1 for i, v in enumerate(x.word) if v == i) == r
-            )
-            r_ok &= want == count_R(ctx, t, r)
+            r_ok &= fixed[r] == count_R(ctx, t, r)
     report("involution_census", t_ok, "T counts vs enumeration, all t")
     report("fixed_point_census", r_ok, "R counts vs enumeration, all (t, r)")
 
@@ -321,10 +316,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "indicators":
-            return _cmd_indicators(args)
         if args.command == "count":
             return _cmd_count(args)
+        if args.max_work is None:
+            try:
+                args.max_work = default_max_work()
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from None
+        if args.command == "indicators":
+            return _cmd_indicators(args)
         return _cmd_verify(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -30,9 +30,9 @@ from itertools import product
 from typing import Iterator
 
 from . import bulk
-from .counting import units
+from .counting import e_set, k_set
 from .matched_pair import Orbit, orbit, stabilizer
-from .perm import Permutation
+from .perm import Permutation, fixed_points
 
 __all__ = [
     "WorkloadExceeded",
@@ -56,7 +56,12 @@ class WorkloadExceeded(RuntimeError):
 
 def default_max_work() -> int:
     env = os.environ.get("BISMASH_MAX_WORK")
-    return int(env) if env else DEFAULT_MAX_WORK
+    if not env:
+        return DEFAULT_MAX_WORK
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"BISMASH_MAX_WORK must be an integer, got {env!r}") from None
 
 
 class _WorkMeter:
@@ -191,15 +196,13 @@ def enumerate_involutions(
         raise ValueError(f"t={t} must divide n={n}")
     m = n // t
     meter = _WorkMeter(max_work)
-    roots = [j for j in units(m) if (j * j) % m == 1 % m]
-    k_by_root = {j: [u for u in range(m) if (u * (j + 1)) % m == 0] for j in roots}
-    for j in roots:
-        k_set = k_by_root[j]
+    for j in e_set(m):
+        kernel = k_set(j, m)
         for sigma_word in _involution_words(t - 1):
             sigma = Permutation(sigma_word)
             fixed = [i for i in range(1, t) if sigma_word[i] == i]
             pairs = [(i, sigma_word[i]) for i in range(1, t) if sigma_word[i] > i]
-            choice_sets = [k_set] * len(fixed) + [list(range(m))] * len(pairs)
+            choice_sets = [kernel] * len(fixed) + [list(range(m))] * len(pairs)
             for choice in product(*choice_sets):
                 meter.charge()
                 u = [0] * (t - 1)
@@ -221,7 +224,7 @@ def enumerate_involutions_fixed(
     if (n - r) % 2 or r < 1:
         return
     for x in enumerate_involutions(n, t, max_work):
-        if sum(1 for i, v in enumerate(x.word) if v == i) == r:
+        if len(fixed_points(x)) == r:
             yield x
 
 

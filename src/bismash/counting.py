@@ -52,12 +52,8 @@ __all__ = [
     "delta_exists",
     "m_ratio",
     "ebar_set",
-    "kbar_set",
-    "delta_kc",
     "k_prime_set",
     "delta_bar",
-    "delta_zero",
-    "delta_nonzero",
     "CountContext",
     "count_M",
     "count_T",
@@ -193,26 +189,6 @@ def ebar_set(j_sigma: int, n: int, t: int, s: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def kbar_set(
-    j_prime: int, j_sigma: int, n: int, t: int, s: int, complement: bool = False
-) -> tuple[int, ...]:
-    """u mod n/t with (u*(t/s) + m_i)(1 + j') = 0 mod n/s for some m_i
-    drawn from p_set(j_sigma, t/s) (or its complement p_c_set)."""
-    ns = n // s
-    ts = t // s
-    pool = p_c_set(j_sigma, ts) if complement else p_set(j_sigma, ts)
-    out = []
-    for u in range(n // t):
-        if any(((u * ts + mi) * (1 + j_prime)) % ns == 0 for mi in pool):
-            out.append(u)
-    return tuple(out)
-
-
-def delta_kc(j_prime: int, j_sigma: int, n: int, t: int, s: int) -> int:
-    """|kbar complement set| with the empty set read as 1."""
-    return len(kbar_set(j_prime, j_sigma, n, t, s, complement=True)) or 1
-
-
 def k_prime_set(j: int, m: int) -> tuple[int, ...]:
     """u with (u+1)(j-1) = 0 mod m: the x(1) = 2u+1 giving non-involutions
     of stabilizer order 2 whose inverse still lies in the orbit."""
@@ -222,16 +198,6 @@ def k_prime_set(j: int, m: int) -> tuple[int, ...]:
 def delta_bar(u: int, j: int, m: int) -> int:
     """1 iff j != 2u+1 mod m, i.e. the full-stabilizer case is excluded."""
     return 0 if (2 * u + 1) % m == j % m else 1
-
-
-def delta_zero(i: int, u: int, m: int) -> int:
-    """1 iff i(u+1) = 0 mod m (the +1 branch of the dimension-2 split)."""
-    return 1 if (i * (u + 1)) % m == 0 else 0
-
-
-def delta_nonzero(i: int, u: int, m: int) -> int:
-    """1 iff i(u+1) != 0 mod m (the -1 branch of the dimension-2 split)."""
-    return 1 - delta_zero(i, u, m)
 
 
 def _delta_l(j: int, m: int, r: int, l: int, cap: int) -> int:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bulk
 from .cyclotomic import CyclotomicAccumulator
 from .matched_pair import (
@@ -157,44 +159,40 @@ def indicator_table(
     n: int,
     filter_t: int | None = None,
     max_work: int | None = None,
-) -> list[tuple[IrrepDescriptor, int]]:
-    """One (descriptor, indicator) row per irreducible module at degree n,
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """One (t, reps, values) entry per dimension t at degree n, t ascending,
     optionally restricted to dimension ``filter_t``.
 
-    Orbit representatives are generated by stabilizer-constrained
-    construction rather than a scan of all (n-1)! permutations, and
-    evaluated with the array form of the congruence route; the workload
-    guard of the enumeration layer applies.  Rows are sorted by
-    (t, representative one-line form, i) so output is deterministic.
+    ``reps`` holds the canonical orbit representatives as residue-word
+    rows and ``values[k, i]`` is the indicator of the module
+    (reps[k], t, i), so each entry stands for len(reps) * n/t modules.
+    Representatives are generated by stabilizer-constrained construction
+    rather than a scan of all (n-1)! permutations, and evaluated with the
+    array form of the congruence route; the workload guard of the
+    enumeration layer applies.  Rows are sorted lexicographically, which
+    is the order of their one-line forms since column 0 is always 0.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    ts = [filter_t] if filter_t is not None else divisors(n)
-    if filter_t is not None and n % filter_t:
+    if filter_t is not None and (filter_t < 1 or n % filter_t):
         raise ValueError(f"t={filter_t} does not divide n={n}")
-    rows: list[tuple[IrrepDescriptor, int]] = []
-    for t in ts:
+    table = []
+    for t in [filter_t] if filter_t is not None else divisors(n):
         X = bulk.exact_stabilizer_rows(n, t, max_work)
         reps = X[bulk.orbit_rep_mask(X, t)]
-        for row, values in zip(reps, bulk.reduced_indicator_rows(reps, t)):
-            rep = Permutation(tuple(row.tolist()))
-            for i, v in enumerate(values.tolist()):
-                rows.append((IrrepDescriptor(rep, t, i), v))
-    rows.sort(key=lambda row: (row[0].t, row[0].orbit_rep.one_line(), row[0].i))
-    return rows
+        reps = reps[np.lexsort(reps.T[::-1])]
+        table.append((t, reps, bulk.reduced_indicator_rows(reps, t)))
+    return table
 
 
 def tally_indicators(
-    rows: list[tuple[IrrepDescriptor, int]], weighted: bool = True
+    table: list[tuple[int, np.ndarray, np.ndarray]],
 ) -> dict[int, int]:
-    """Tally {+1, -1, 0} over table rows.
-
-    With ``weighted`` (the census convention) each row counts once per
-    orbit member, i.e. with multiplicity t: the census bookkeeping is
-    per (permutation, character) pair, while a table row stands for a
-    whole orbit.  Unweighted tallies count isomorphism classes.
-    """
-    out = {1: 0, -1: 0, 0: 0}
-    for d, v in rows:
-        out[v] += d.t if weighted else 1
-    return out
+    """Tally {+1, -1, 0} over a table in the census convention: each
+    module counts once per orbit member, i.e. with multiplicity t, since
+    the census bookkeeping is per (permutation, character) pair while a
+    table row stands for a whole orbit."""
+    return {
+        v: sum(t * int((values == v).sum()) for t, _reps, values in table)
+        for v in (1, -1, 0)
+    }

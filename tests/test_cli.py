@@ -103,17 +103,23 @@ def test_count_ratios(capsys):
 
 
 def test_csv_json_equivalence(tmp_path, capsys):
-    code, out_csv, _ = run_cli(capsys, "count", "--n", "12", "--quantity", "M")
-    assert code == 0
-    code, out_json, _ = run_cli(
-        capsys, "count", "--n", "12", "--quantity", "M", "--format", "json"
-    )
-    assert code == 0
-    csv_rows = parse_csv(out_csv)
-    json_rows = json.loads(out_json)
-    assert len(csv_rows) == len(json_rows)
-    for a, b in zip(csv_rows, json_rows):
-        assert a == {k: str(v) for k, v in b.items()}
+    for argv in (
+        ("count", "--n", "12", "--quantity", "M"),
+        ("indicators", "--n", "12", "--t", "2"),
+        ("indicators", "--n", "4", "--t", "2"),
+    ):
+        code, out_csv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        csv_rows = parse_csv(out_csv)
+        json_rows = json.loads(out_json)
+        assert len(csv_rows) == len(json_rows)
+        for a, b in zip(csv_rows, json_rows):
+            assert a == {k: str(v) for k, v in b.items()}
+    # (4, 2) has no modules: an empty JSON array and a bare CSV header.
+    assert out_json == "[]\n"
+    assert out_csv == "n,t,orbit_rep,i,indicator\n"
 
 
 def test_output_deterministic(capsys):
@@ -151,6 +157,15 @@ def test_verify_rejects_degree_one(capsys):
 def test_verify_workload_guard(capsys):
     code, _out, err = run_cli(capsys, "verify", "--n", "13")
     assert code == 2 and "workload" in err
+
+
+def test_bad_max_work_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BISMASH_MAX_WORK", "abc")
+    for argv in (("indicators", "--n", "6", "--t", "2"), ("verify", "--n", "4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "BISMASH_MAX_WORK" in err
+        assert err.count("\n") == 1
 
 
 def test_unknown_quantity_rejected(capsys):

@@ -200,3 +200,11 @@ def test_workload_guard_env_default(monkeypatch):
     assert default_max_work() == 10**8
     monkeypatch.setenv("BISMASH_MAX_WORK", "12345")
     assert default_max_work() == 12345
+
+
+def test_workload_guard_env_rejects_non_integer(monkeypatch):
+    from bismash.construct import default_max_work
+
+    monkeypatch.setenv("BISMASH_MAX_WORK", "abc")
+    with pytest.raises(ValueError, match="BISMASH_MAX_WORK"):
+        default_max_work()

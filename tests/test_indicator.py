@@ -45,9 +45,9 @@ def test_dimension_two_profile_degree_12():
 
 
 def test_all_j2_modules_orthogonal():
-    rows = indicator_table(2)
-    assert len(rows) == 2
-    assert all(v == 1 for _d, v in rows)
+    table = indicator_table(2)
+    assert sum(values.size for _t, _reps, values in table) == 2
+    assert all((values == 1).all() for _t, _reps, values in table)
 
 
 def test_inverse_outside_orbit_gives_zero():
@@ -109,32 +109,39 @@ def test_group_indicator_cyclic():
 
 
 def test_indicator_table_tallies_degree_12():
-    rows = indicator_table(12, 2)
-    assert len(rows) == 24  # 4 orbits x 6 characters
-    tal = tally_indicators(rows)
+    table = indicator_table(12, 2)
+    [(t, reps, values)] = table
+    assert t == 2 and values.shape == (4, 6)  # 24 modules: 4 orbits x 6 characters
+    tal = tally_indicators(table)
     assert (tal[1], tal[-1], tal[0]) == (30, 2, 16)
-    classes = tally_indicators(rows, weighted=False)
-    assert (classes[1], classes[-1], classes[0]) == (15, 1, 8)
+    classes = tuple(int((values == v).sum()) for v in (1, -1, 0))
+    assert classes == (15, 1, 8)
 
 
 def test_indicator_table_matches_scalar_route():
     # Degrees past 16, where a base-n packed row key would overflow int64.
     for n, t in [(18, 3), (20, 4), (24, 3)]:
-        rows = indicator_table(n, t)
-        reps = {d.orbit_rep for d, _v in rows}
-        assert len(rows) == len(reps) * (n // t)
+        [(t_row, reps, values)] = indicator_table(n, t)
+        assert t_row == t and values.shape == (len(reps), n // t)
+        assert len({tuple(row) for row in reps.tolist()}) == len(reps)
         assert len(reps) * t == count_M(CountContext(n), t)
-        for d, v in rows:
-            assert orbit(d.orbit_rep).representative == d.orbit_rep
-            assert v == indicator_reduced(d)
+        for row, vals in zip(reps.tolist(), values.tolist()):
+            rep = Permutation(row)
+            assert orbit(rep).representative == rep
+            assert vals == [
+                indicator_reduced(IrrepDescriptor(rep, t, i)) for i in range(n // t)
+            ]
 
 
 def test_indicator_table_sorted_and_validates():
-    rows = indicator_table(9, 3)
-    keys = [(d.t, d.orbit_rep.one_line(), d.i) for d, _v in rows]
-    assert keys == sorted(keys)
-    with pytest.raises(ValueError):
-        indicator_table(12, 5)
+    table = indicator_table(9)
+    assert [t for t, _reps, _values in table] == divisors(9)
+    for _t, reps, _values in table:
+        keys = [Permutation(row).one_line() for row in reps.tolist()]
+        assert keys == sorted(keys)
+    for bad in (5, 0, -3):
+        with pytest.raises(ValueError):
+            indicator_table(12, bad)
     with pytest.raises(ValueError):
         indicator_table(1)
 
