@@ -9,6 +9,11 @@ permutations at n = 12) lists the permutations as lexicographic prefixes
 times one cached table of the last min(n-1, 8) positions, settles most
 rows of the stabilizer and orbit tests on a single column, and evaluates
 both routes chunk by chunk, so its memory is bounded by the chunk size.
+The brute-force oracle works from one inverse per row: the inverse of
+every orbit member x <| a^l is a column rotation of x^{-1}, so each
+(member, shift) pair is compared on a few columns of x and x^{-1} and
+only the pairs that match there are compared in full.  The involution
+test reads y(y(u)) = u column by column the same way.
 
 Nothing here is approximate: the work is integer array arithmetic, and
 the brute-force route reduces its root-of-unity sums through the same
@@ -52,6 +57,13 @@ def _dtype(n: int):
 # Length of the suffix listed by the precomputed table: 8! rows of
 # 8 columns, small enough to stay in cache while it is gathered.
 _SUFFIX = 8
+
+# The oracle compares orbit members with shifts of the inverse on codes
+# of this many columns first, in blocks of _BLOCK rows: its (rows, n)
+# codes, comparison masks and candidate lists stay a few MB whatever the
+# chunk size.
+_KEY_COLS = 3
+_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +142,9 @@ def stabilizer_orders(X: np.ndarray) -> np.ndarray:
 
 
 def inverse_rows(X: np.ndarray) -> np.ndarray:
-    n = X.shape[1]
-    out = np.empty_like(X)
-    rows = np.arange(len(X))[:, None]
-    out[rows, X.astype(np.intp)] = np.arange(n, dtype=X.dtype)[None, :]
+    N, n = X.shape
+    out = np.empty((N, n), dtype=X.dtype)
+    out.ravel()[X + np.arange(0, N * n, n)[:, None]] = np.arange(n, dtype=X.dtype)
     return out
 
 
@@ -171,19 +182,39 @@ def orbit_rep_mask(X: np.ndarray, t: int) -> np.ndarray:
     return mask
 
 
+def _involution_members(X: np.ndarray, t: int):
+    # (row, fixed) for every involution member y = x <| a^l, l = 1..t:
+    # the row index into X and the number of fixed points of y (column 0,
+    # the top point, included).  y(u) = x(u + l) - x(l), so y(y(u)) = u
+    # is read by two gathers per row; u = 1 is tested on every row, and
+    # each further u only on the rows that passed the ones before.
+    n = X.shape[1]
+    flat = X.ravel()
+    idn = np.arange(n)
+    base = np.arange(0, len(X) * n, n)
+    rows, fixed = [], []
+    for l in range(1, t + 1):
+        xl = X[:, l % n].astype(np.intp)
+        y1 = (X[:, (l + 1) % n] - xl) % n
+        idx = np.flatnonzero((flat[base + (y1 + l) % n] - xl) % n == 1)
+        at, xl = base[idx], xl[idx]
+        for u in range(2, n):
+            yu = (flat[at + (u + l) % n] - xl) % n
+            ok = (flat[at + (yu + l) % n] - xl) % n == u
+            idx, at, xl = idx[ok], at[ok], xl[ok]
+        rows.append(idx)
+        fixed.append((shift_rows(X[idx], l) == idn).sum(axis=1))
+    return np.concatenate(rows), np.concatenate(fixed)
+
+
 def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
     """Per-row count of involutions among the t orbit members.
 
-    Definition-level: each member y = x <| a^l is tested for y*y = id
-    by gathering y over itself.
+    Definition-level: each member y = x <| a^l is tested for y*y = id,
+    column by column.
     """
-    n = X.shape[1]
-    idx = np.arange(n, dtype=X.dtype)
-    out = np.zeros(len(X), dtype=np.int16)
-    for l in range(1, t + 1):
-        Y = shift_rows(X, l)
-        out += (np.take_along_axis(Y, Y.astype(np.intp), axis=1) == idx).all(axis=1)
-    return out
+    rows, _fixed = _involution_members(X, t)
+    return np.bincount(rows, minlength=len(X)).astype(np.int16)
 
 
 def inversion_rows(X: np.ndarray, t: int):
@@ -237,34 +268,67 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def _difference_codes(A: np.ndarray, n: int, dtype) -> np.ndarray:
+    # Per column c, the consecutive differences D[c+j] = A(c+j+1) - A(c+j)
+    # mod n for j < _KEY_COLS, packed base n into one integer of `dtype`.
+    ext = A[:, np.arange(n + _KEY_COLS) % n].astype(dtype)
+    D = (ext[:, 1:] - ext[:, :-1]) % n
+    code = D[:, :n]
+    for j in range(1, _KEY_COLS):
+        code = code * n + D[:, j : j + n]
+    return code
+
+
+def _transporter_classes(X: np.ndarray, t: int) -> np.ndarray:
+    # (N, n/t) tallies of the exponent classes e/t over all transporters
+    # (l, b): y^{-1} <| a^b = y for the member y = x <| a^l.  With
+    # y^{-1}(v) = x^{-1}(v + x(l)) - l and c = b + x(l) the test reads
+    # x^{-1} <| a^c = x <| a^l, with exponent e = x^{-1}(c) - l + b, so one
+    # inverse per row serves every member.  Columns 1.._KEY_COLS of both
+    # sides are the consecutive differences of x^{-1} from c and of x
+    # from l.  Every (l, c) is compared on codes of those columns, and the
+    # pairs that match there are compared on the remaining columns one by
+    # one.
+    n = X.shape[1]
+    m = n // t
+    Xi = inverse_rows(X)
+    kt = np.min_scalar_type(-(n**_KEY_COLS))
+    counts = np.zeros((len(X), m), dtype=np.intp)
+    for lo in range(0, len(X), _BLOCK):
+        A, Ai = X[lo : lo + _BLOCK], Xi[lo : lo + _BLOCK]
+        key = _difference_codes(Ai, n, kt)
+        want = _difference_codes(A, n, kt)
+        hits = [np.flatnonzero(key == want[:, [l % n]]) for l in range(1, t + 1)]
+        l = np.repeat(np.arange(1, t + 1), [len(h) for h in hits])
+        r, c = np.divmod(np.concatenate(hits), n)
+        # Residue sums leave the int8/int16 row type, so they run in intp.
+        xflat, iflat = A.ravel(), Ai.ravel()
+        base = r * n
+        xl = xflat[base + l % n].astype(np.intp)
+        xic = iflat[base + c].astype(np.intp)
+        for u in range(_KEY_COLS + 1, n):
+            ok = (iflat[base + (c + u) % n] - xic) % n == (xflat[base + (l + u) % n] - xl) % n
+            r, l, c, base, xl, xic = r[ok], l[ok], c[ok], base[ok], xl[ok], xic[ok]
+        e = (xic - l + c - xl) % n
+        ok = e % t == 0
+        tally = np.bincount(r[ok] * m + (e[ok] // t) % m, minlength=len(A) * m)
+        counts[lo : lo + _BLOCK] = tally.reshape(len(A), m)
+    return counts
+
+
 def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     """(N, n/t) matrix of indicators via the literal averaged character sum.
 
     Transporters are found by scanning every power of the n-cycle for
-    every orbit member; exponent classes are tallied and the resulting
-    root-of-unity sums reduced exactly through the integer cyclotomic
-    basis matrix.
+    every orbit member, from one inverse per row (the members' inverses
+    are column rotations of it); exponent classes are tallied and the
+    resulting root-of-unity sums reduced exactly through the integer
+    cyclotomic basis matrix.
     """
     n = X.shape[1]
     m = n // t
     N = len(X)
-    counts = np.zeros((N, m), dtype=np.int64)
-    for l in range(1, t + 1):
-        Y = shift_rows(X, l)
-        Yi = inverse_rows(Y)
-        for b in range(n):
-            # cheap one-column necessary condition before the full match
-            cand = np.flatnonzero((Yi[:, (1 + b) % n] - Yi[:, b]) % n == Y[:, 1])
-            if not len(cand):
-                continue
-            sub = Yi[cand]
-            full = (shift_rows(sub, b) == Y[cand]).all(axis=1)
-            hit = cand[full]
-            if not len(hit):
-                continue
-            e = (Yi[hit, b].astype(np.int64) + b) % n
-            ok = e % t == 0
-            np.add.at(counts, (hit[ok], (e[ok] // t) % m), 1)
+    counts = _transporter_classes(X, t)
     basis = np.array(power_basis_rows(m), dtype=np.int64)
     out = np.empty((N, m), dtype=np.int8)
     for i in range(m):
@@ -369,6 +433,8 @@ class SweepResult:
     tallies: dict[int, dict[int, int]] = field(default_factory=dict)  # per-(x,i)
     # t -> {r: number of orbits containing exactly r involutions}
     orbit_involutions: dict[int, dict[int, int]] = field(default_factory=dict)
+    # t -> {r: number of involutions with exactly r fixed points, n included}
+    involution_fixed_points: dict[int, dict[int, int]] = field(default_factory=dict)
 
     @property
     def irrep_classes(self) -> int:
@@ -390,7 +456,9 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
     for every character index, chunk by chunk: each orbit's canonical
     member lies in exactly one chunk, so memory is bounded by the chunk
     size.  Tallies use the per-(permutation, character) convention
-    (orbit rows weighted by t).
+    (orbit rows weighted by t).  Every orbit member is tested for being
+    an involution, so the sweep also histograms, per t, the orbits by
+    their number of involutions and the involutions by their fixed points.
     """
     total = math.factorial(n - 1)
     res = SweepResult(n=n, permutations=total)
@@ -399,6 +467,7 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
         res.orbit_counts[t] = 0
         res.tallies[t] = {1: 0, -1: 0, 0: 0}
         res.orbit_involutions[t] = {}
+        res.involution_fixed_points[t] = {}
 
     for start in range(0, total, chunk):
         X = perm_block(n, start, min(start + chunk, total))
@@ -417,8 +486,15 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
             tally = res.tallies[t]
             for v in tally:
                 tally[v] += int((red == v).sum()) * t
-            hist = res.orbit_involutions[t]
             counts = orbit_involution_counts(reps, t)
-            for v, c in zip(*np.unique(counts, return_counts=True)):
-                hist[int(v)] = hist.get(int(v), 0) + int(c)
+            # Only the few orbits holding an involution are scanned again,
+            # for the fixed points of their involution members.
+            _rows, fixed = _involution_members(reps[counts > 0], t)
+            _add_histogram(res.orbit_involutions[t], counts)
+            _add_histogram(res.involution_fixed_points[t], fixed)
     return res
+
+
+def _add_histogram(hist: dict[int, int], values: np.ndarray) -> None:
+    for v, c in zip(*np.unique(values, return_counts=True)):
+        hist[int(v)] = hist.get(int(v), 0) + int(c)

@@ -14,7 +14,7 @@ Output is byte-deterministic for fixed arguments: rows are sorted, the
 column set is fixed per subcommand, and no timestamps appear.
 
 Exit codes: 0 success, 1 usage error, 2 workload guard exceeded,
-3 verification mismatch.
+3 verification mismatch, 141 stdout closed by its reader (no traceback).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from collections import Counter
 from contextlib import nullcontext
 from typing import Iterable
 
 from . import bulk
-from .construct import WorkloadExceeded, default_max_work, enumerate_involutions
+from .construct import WorkloadExceeded, default_max_work
 from .counting import (
     CountContext,
     count_I_odd,
@@ -50,12 +50,13 @@ from .hopf import (
 )
 from .indicator import indicator_table, tally_indicators
 from .matched_pair import divisors
-from .perm import Permutation, fixed_points
+from .perm import Permutation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WORKLOAD = 2
 EXIT_MISMATCH = 3
+EXIT_CLOSED = 141  # 128 + SIGPIPE, as for a writer stopped by a closed pipe
 
 
 class _UsageError(Exception):
@@ -277,15 +278,13 @@ def _cmd_verify(args) -> int:
     dim_ok = res.dim_squared_sum == math.factorial(n)
     report("dimension_identity", dim_ok, f"sum dim^2 = n! = {math.factorial(n)}")
 
+    # T and R against the involutions found in the exhaustive listing.
     t_ok, r_ok = True, True
     for t in divisors(n):
-        fixed = Counter(
-            len(fixed_points(x))
-            for x in enumerate_involutions(n, t, max_work=args.max_work)
-        )
+        fixed = res.involution_fixed_points[t]
         t_ok &= sum(fixed.values()) == count_T(ctx, t)
         for r in range(1, n + 1):
-            r_ok &= fixed[r] == count_R(ctx, t, r)
+            r_ok &= fixed.get(r, 0) == count_R(ctx, t, r)
     report("involution_census", t_ok, "T counts vs enumeration, all t")
     report("fixed_point_census", r_ok, "R counts vs enumeration, all (t, r)")
 
@@ -317,21 +316,30 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "count":
-            return _cmd_count(args)
-        if args.max_work is None:
-            try:
-                args.max_work = default_max_work()
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from None
-        if args.command == "indicators":
-            return _cmd_indicators(args)
-        return _cmd_verify(args)
+            code = _cmd_count(args)
+        else:
+            if args.max_work is None:
+                try:
+                    args.max_work = default_max_work()
+                except ValueError as exc:
+                    raise _UsageError(str(exc)) from None
+            if args.command == "indicators":
+                code = _cmd_indicators(args)
+            else:
+                code = _cmd_verify(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WorkloadExceeded as exc:
         print(f"workload exceeded: {exc}", file=sys.stderr)
         return EXIT_WORKLOAD
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head`): stop quietly, and send
+        # what is still buffered, flushed again at exit, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

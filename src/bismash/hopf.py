@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .matched_pair import act_left, act_right
 from .perm import Permutation, compose, inverse
 
@@ -179,18 +181,29 @@ def check_antipode_axiom(n: int) -> list[BasisElement]:
 
 
 def check_multiplication_associative(n: int) -> list[tuple[BasisElement, ...]]:
-    """(e1 e2) e3 = e1 (e2 e3) over all basis triples."""
+    """(e1 e2) e3 = e1 (e2 e3) over all basis triples.
+
+    The product table of the basis is built once from ``multiply``, with
+    one extra index for zero; both bracketings are then read from it as
+    index arrays, one first factor at a time.  Offending triples come in
+    the lexicographic order of their basis indices.
+    """
     elements = list(basis_elements(n))
+    index = {e: k for k, e in enumerate(elements)}
+    zero = len(elements)
+    table = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
+    for a, e1 in enumerate(elements):
+        for b, e2 in enumerate(elements):
+            p = multiply(e1, e2)
+            if p is not None:
+                table[a, b] = index[p]
+    products = table[:zero, :zero]
     bad = []
-    for e1 in elements:
-        for e2 in elements:
-            p12 = multiply(e1, e2)
-            for e3 in elements:
-                p23 = multiply(e2, e3)
-                lhs = multiply(p12, e3) if p12 is not None else None
-                rhs = multiply(e1, p23) if p23 is not None else None
-                if lhs != rhs:
-                    bad.append((e1, e2, e3))
+    for a, e1 in enumerate(elements):
+        lhs = table[products[a], :zero]  # [b, c]: (e1 e_b) e_c
+        rhs = table[a, products]  # [b, c]: e1 (e_b e_c)
+        for b, c in np.argwhere(lhs != rhs):
+            bad.append((e1, elements[b], elements[c]))
     return bad
 
 

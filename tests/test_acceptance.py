@@ -8,6 +8,7 @@ the stated wall-clock budgets.
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -259,6 +260,12 @@ def test_criterion_08_counts_vs_enumeration(sweeps):
                 )
                 ok &= want == count_R(ctx, t, r)
             ok &= sum(count_R(ctx, t, r) for r in range(1, n + 1)) == count_T(ctx, t)
+            # The sweep's fixed-point histogram of the involutions it met
+            # in the exhaustive listing equals the seeded enumeration's.
+            fixed = Counter(
+                sum(1 for i, v in enumerate(x.word) if v == i) for x in inv
+            )
+            ok &= res.involution_fixed_points[t] == fixed
             hist = res.orbit_involutions[t]
             for r in range(0, t + 1):
                 ok &= hist.get(r, 0) == count_O(ctx, t, r)

@@ -3,13 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bismash import bulk
 from bismash.construct import RemainderSeed, build_from_seed
-from bismash.counting import CountContext, count_I_t2, count_M, count_O, units
+from bismash.counting import (
+    CountContext,
+    count_I_odd,
+    count_I_t2,
+    count_M,
+    count_O,
+    count_R,
+    count_T,
+    count_X,
+    e_set,
+    k_set,
+    units,
+)
 from bismash.indicator import IrrepDescriptor, indicator_bruteforce, indicator_reduced
 from bismash.matched_pair import divisors, inversion_data, orbit, stabilizer
-from bismash.perm import Permutation
+from bismash.perm import Permutation, from_cycles, is_involution
 
 
 def rows_to_perms(X):
@@ -199,6 +212,10 @@ def test_sweep_small_degrees():
             assert res.orbit_counts[t] * t == count_M(ctx, t)
             for r, c in res.orbit_involutions[t].items():
                 assert c == count_O(ctx, t, r)
+            fixed = res.involution_fixed_points[t]
+            assert sum(fixed.values()) == count_T(ctx, t)
+            for r, c in fixed.items():
+                assert c == count_R(ctx, t, r)
 
 
 def test_sweep_chunk_split_is_deterministic():
@@ -211,3 +228,133 @@ def test_sweep_chunk_split_is_deterministic():
     assert split.mismatches == 0
     # A chunk that is no multiple of 8! splits suffix blocks and orbits.
     assert bulk.sweep(10, chunk=50_000) == bulk.sweep(10)
+
+
+def _rows(perms, n):
+    # Residue words in the row type bulk uses at degree n (int8, int16).
+    return np.array([x.word for x in perms], dtype=bulk.perm_block(n, 0, 0).dtype)
+
+
+def _check_against_scalar(x):
+    # Both array routes and the involution count on x's row against the
+    # scalar routes and definitions; t is x's exact stabilizer order.  The
+    # scalar oracle costs O(t n^2) per character, so past 40 characters it
+    # is asked for about four nonzero ones and four others.
+    n, t = x.n, stabilizer(x).t
+    m = n // t
+    X = _rows([x], n)
+    d = [IrrepDescriptor.from_permutation(x, i) for i in range(m)]
+    want = [indicator_reduced(di) for di in d]
+    assert bulk.bruteforce_indicator_rows(X, t).tolist() == [want]
+    assert bulk.reduced_indicator_rows(X, t).tolist() == [want]
+    sample = range(m)
+    if m > 40:
+        nonzero = [i for i in range(m) if want[i]]
+        sample = set(range(0, m, m // 4)) | set(nonzero[:: -(-len(nonzero) // 4) or 1])
+    assert all(indicator_bruteforce(d[i]) == want[i] for i in sample)
+    members = orbit(x).members
+    assert len(members) == t
+    got = bulk.orbit_involution_counts(X, t).tolist()
+    assert got == [sum(is_involution(y) for y in members)]
+
+
+@st.composite
+def _seeded_permutations(draw, lo, hi):
+    # A random seed (j, sigma, u) of a random stratum t | n.  Half the
+    # draws satisfy the involution constraints (j^2 = 1, sigma an
+    # involution, u_i = -j u_sigma(i)), so that the orbit holds its own
+    # inverse and the indicators are mostly nonzero.
+    n = draw(st.integers(lo, hi))
+    t = draw(st.sampled_from(divisors(n)))
+    m = n // t
+    if not draw(st.booleans()):
+        j = draw(st.sampled_from(units(m)))
+        images = draw(st.permutations(range(1, t)))
+        u = draw(st.lists(st.integers(0, m - 1), min_size=t - 1, max_size=t - 1))
+        return build_from_seed(RemainderSeed(n, t, j, Permutation((0, *images)), tuple(u)))
+    j = draw(st.sampled_from(e_set(m)))
+    order = draw(st.permutations(range(1, t)))
+    pairs = draw(st.integers(0, (t - 1) // 2))
+    word = list(range(t))
+    u = [0] * t
+    for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        word[a], word[b] = b, a
+        u[a] = draw(st.integers(0, m - 1))
+        u[b] = (-j * u[a]) % m
+    for a in order[2 * pairs :]:
+        u[a] = draw(st.sampled_from(k_set(j, m)))
+    x = build_from_seed(RemainderSeed(n, t, j, Permutation(tuple(word)), tuple(u[1:])))
+    assert is_involution(x)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seeded_permutations(13, 40))
+def test_indicator_rows_match_scalar_past_exhaustive_range(x):
+    _check_against_scalar(x)
+
+
+def test_indicator_rows_at_row_type_edge():
+    # n = 120 is the last int8 degree and n = 121 the first int16 one;
+    # residue sums such as x^{-1}(c) - l + b exceed int8 from n = 64 on.
+    for n in (120, 121):
+        for t in (1, 2, 11, 12, 121):
+            if n % t:
+                continue
+            m = n // t
+            for j in e_set(m)[:2]:
+                seed = RemainderSeed(
+                    n, t, j, Permutation(tuple(range(t))), tuple([0] * (t - 1))
+                )
+                _check_against_scalar(build_from_seed(seed))
+        shift = from_cycles(n, [tuple(range(1, n, 2))])
+        _check_against_scalar(shift)
+    # The skew witness (1 5 9 ... n-3)(3 7 ... n-1) has t = 2 and
+    # indicator -1 exactly at i = n/4.
+    w = from_cycles(120, [tuple(range(1, 120, 4)), tuple(range(3, 120, 4))])
+    _check_against_scalar(w)
+    values = bulk.bruteforce_indicator_rows(_rows([w], 120), 2)[0]
+    assert np.flatnonzero(values == -1).tolist() == [30]
+
+
+# bulk.sweep(13), recorded once: 12! = 479,001,600 permutations, about
+# 3 minutes serially (BENCH_n13.json).  Too slow for the suite, so its
+# fields are pinned here and held to the counting tower.
+SWEEP_13 = bulk.SweepResult(
+    n=13,
+    mismatches=0,
+    permutations=479001600,
+    m_counts={1: 12, 13: 479001588},
+    orbit_counts={1: 12, 13: 36846276},
+    tallies={1: {1: 14, -1: 0, 0: 142}, 13: {1: 568490, -1: 0, 0: 478433098}},
+    orbit_involutions={
+        1: {0: 10, 1: 2},
+        13: {0: 36802546, 1: 10394, 3: 20790, 5: 10395, 7: 1980, 9: 165, 11: 6},
+    },
+    involution_fixed_points={
+        1: {1: 1, 13: 1},
+        13: {1: 10394, 3: 62370, 5: 51975, 7: 13860, 9: 1485, 11: 66},
+    },
+)
+
+
+def test_sweep_degree_13_record_matches_tower():
+    res, n = SWEEP_13, 13
+    ctx = CountContext(n)
+    assert res.mismatches == 0
+    assert sum(res.m_counts.values()) == res.permutations == math.factorial(n - 1)
+    assert res.dim_squared_sum == math.factorial(n)
+    assert res.irrep_classes == 36846432
+    for t in divisors(n):
+        assert res.m_counts[t] == count_M(ctx, t) == res.orbit_counts[t] * t
+        plus, zero = count_I_odd(ctx, t)
+        assert res.tallies[t] == {1: plus, -1: 0, 0: zero}
+        hist = res.orbit_involutions[t]
+        for r in range(0, t + 1):
+            assert hist.get(r, 0) == count_O(ctx, t, r)
+            if r:
+                assert r * hist.get(r, 0) == count_X(ctx, t, r)
+        fixed = res.involution_fixed_points[t]
+        assert sum(fixed.values()) == count_T(ctx, t)
+        for r in range(1, n + 1):
+            assert fixed.get(r, 0) == count_R(ctx, t, r)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,22 @@ def test_bad_max_work_env_is_usage_error(capsys, monkeypatch):
 def test_unknown_quantity_rejected(capsys):
     code, _out, _err = run_cli(capsys, "count", "--n", "8", "--quantity", "Z")
     assert code == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # `indicators --n 10` writes about 1 MB; the reader takes two lines
+    # and closes the pipe, as `| head -2` does.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bismash.cli", "indicators", "--n", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert head == [b"n,t,orbit_rep,i,indicator\n", b"10,1,(),0,1\n"]
+    assert err == b""

@@ -101,3 +101,28 @@ def test_antipode_axiom(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_multiplication_associative(n):
     assert check_multiplication_associative(n) == []
+
+
+def test_associativity_check_reports_triples_in_loop_order(monkeypatch):
+    # A product that drops some nonzero products is not associative; the
+    # table-based check must list exactly the triples a literal loop over
+    # (e1, e2, e3) finds, in the same order.
+    from bismash import hopf
+
+    def broken(e1, e2):
+        p = multiply(e1, e2)
+        return None if p is not None and (e1.r, e2.r) == (1, 2) else p
+
+    monkeypatch.setattr(hopf, "multiply", broken)
+    elements = list(basis_elements(3))
+    want = []
+    for e1 in elements:
+        for e2 in elements:
+            for e3 in elements:
+                p12, p23 = broken(e1, e2), broken(e2, e3)
+                lhs = broken(p12, e3) if p12 is not None else None
+                rhs = broken(e1, p23) if p23 is not None else None
+                if lhs != rhs:
+                    want.append((e1, e2, e3))
+    assert want
+    assert check_multiplication_associative(3) == want
