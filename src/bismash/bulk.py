@@ -6,9 +6,13 @@ the scalar operations of the package (shift action, stabilizer order,
 inverse, smallest inverting shift, both indicator routes) have
 array-level counterparts here.  A full sweep over S_{n-1} (39,916,800
 permutations at n = 12) lists the permutations as lexicographic prefixes
-times one cached table of the last min(n-1, 8) positions, settles most
-rows of the stabilizer and orbit tests on a single column, and evaluates
-both routes chunk by chunk, so its memory is bounded by the chunk size.
+times one cached table of the last min(n-1, 8) positions, finds each
+orbit's smallest member and stabilizer order in one scan of the shifts
+x <| a^l, and evaluates both routes chunk by chunk, so its memory is
+bounded by the chunk size.  Every comparison of a shifted row (the scan,
+the exactness filter of the seeded strata, the search for the inverting
+shift) goes through one lexicographic comparison that reads column 1
+first and compares whole rows only on ties.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, so each
 (member, shift) pair is compared on a few columns of x and x^{-1} and
@@ -35,10 +39,9 @@ from .matched_pair import divisors
 
 __all__ = [
     "perm_block",
-    "stabilizer_orders",
+    "canonical_orders",
     "shift_rows",
     "inverse_rows",
-    "orbit_rep_mask",
     "inversion_rows",
     "reduced_indicator_rows",
     "bruteforce_indicator_rows",
@@ -51,6 +54,9 @@ __all__ = [
 
 
 def _dtype(n: int):
+    # The row type holds the modulus n too: NumPy rejects `int16 % 32768`.
+    if n > 32767:
+        raise ValueError(f"degree n={n} exceeds the row-width limit n <= 32767")
     return np.int8 if n <= 120 else np.int16
 
 
@@ -117,69 +123,58 @@ def shift_rows(X: np.ndarray, l: int) -> np.ndarray:
     return (X[:, cols] - X[:, [l % n]]) % n
 
 
-def _stabilized_by(X: np.ndarray, d: int) -> np.ndarray:
+def _shift_cmp(
+    X: np.ndarray, l: int, Y: np.ndarray | None = None, rows: np.ndarray | None = None
+) -> np.ndarray:
+    # Per row (of `rows`, all by default): the sign of x <| a^l - y in
+    # lexicographic order, y = x unless another array Y is given.  Column 0
+    # is 0 on both sides, so column 1, x(l+1) - x(l) against y(1), decides
+    # unless it ties; only ties are compared in full, at their first
+    # differing column.
     n = X.shape[1]
-    cols = (np.arange(n) + d) % n
-    return ((X[:, cols] - X[:, [d]]) % n == X).all(axis=1)
+    Y = X if Y is None else Y
+    at = slice(None) if rows is None else rows
+    out = np.sign((X[at, (l + 1) % n] - X[at, l % n]) % n - Y[at, 1])
+    tie = np.flatnonzero(out == 0)
+    if len(tie):
+        r = tie if rows is None else rows[tie]
+        A, B = shift_rows(X[r], l), Y[r]
+        first = np.argmax(A != B, axis=1)
+        k = np.arange(len(tie))
+        out[tie] = np.sign(A[k, first] - B[k, first])
+    return out
 
 
-def stabilizer_orders(X: np.ndarray) -> np.ndarray:
-    """Per-row minimal divisor t of n with a^t stabilizing the row."""
+def canonical_orders(X: np.ndarray) -> np.ndarray:
+    """Per row: its stabilizer order t if the row is the lexicographically
+    smallest member of its orbit, else 0.
+
+    One scan compares x with x <| a^l for l = 1, 2, ...: a row drops out
+    (0) at the first shift that is smaller, and the first shift equal to
+    it is t, since x <| a^l = x iff t | l and the orbit's t members are
+    x <| a^l for l < t.  Each row leaves at its first smaller or equal
+    shift, so the expected work decays harmonically in l.
+    """
     n = X.shape[1]
     t = np.zeros(len(X), dtype=np.int16)
-    for d in divisors(n):
-        open_rows = t == 0
-        if not open_rows.any():
+    rows = np.arange(len(X))
+    for l in range(1, n):
+        if not len(rows):
             break
-        if d == n:
-            t[open_rows] = n
-            break
-        # Column 1 of the full test, x(1+d) - x(d) = x(1), is necessary.
-        idx = np.flatnonzero(open_rows & ((X[:, (1 + d) % n] - X[:, d]) % n == X[:, 1]))
-        ok = _stabilized_by(X[idx], d)
-        t[idx[ok]] = d
+        c = _shift_cmp(X, l, rows=rows)
+        t[rows[c == 0]] = l
+        rows = rows[c > 0]
+    t[rows] = n
     return t
 
 
 def inverse_rows(X: np.ndarray) -> np.ndarray:
     N, n = X.shape
     out = np.empty((N, n), dtype=X.dtype)
-    out.ravel()[X + np.arange(0, N * n, n)[:, None]] = np.arange(n, dtype=X.dtype)
+    flat, base = out.ravel(), np.arange(0, N * n, n)
+    for u in range(n):
+        flat[base + X[:, u]] = u
     return out
-
-
-def _lex_less(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Row-wise A < B in lexicographic order, decided at the first
-    # differing column; exact for every n, unlike a packed integer key.
-    diff = A != B
-    first = np.argmax(diff, axis=1)
-    rows = np.arange(len(A))
-    return diff[rows, first] & (A[rows, first] < B[rows, first])
-
-
-def orbit_rep_mask(X: np.ndarray, t: int) -> np.ndarray:
-    """True where the row is the lexicographically smallest in its orbit.
-
-    Rows already beaten by an earlier shift are dropped from later
-    comparisons, so the expected work decays harmonically in l.  Column
-    0 is 0 in every row, so column 1 decides each comparison unless the
-    row and its shift tie there; only ties are compared in full.
-    """
-    n = X.shape[1]
-    mask = np.ones(len(X), dtype=bool)
-    for l in range(1, t):
-        idx = np.flatnonzero(mask)
-        if not len(idx):
-            break
-        mine = X[idx, 1]
-        shifted = (X[idx, (l + 1) % n] - X[idx, l]) % n
-        wins = mine < shifted
-        tie = np.flatnonzero(mine == shifted)
-        if len(tie):
-            sub = X[idx[tie]]
-            wins[tie] = _lex_less(sub, shift_rows(sub, l))
-        mask[idx] = wins
-    return mask
 
 
 def _involution_members(X: np.ndarray, t: int):
@@ -231,21 +226,16 @@ def inversion_rows(X: np.ndarray, t: int):
     Xi = inverse_rows(X)
     s = np.zeros(len(X), dtype=np.int16)
     u2 = np.zeros(len(X), dtype=np.int64)
-    found = np.zeros(len(X), dtype=bool)
     for l in range(1, t + 1):
-        cand = ~found & ((X[:, (1 + l) % n] - X[:, l % n]) % n == Xi[:, 1])
-        hit = np.zeros(len(X), dtype=bool)
-        idx = np.flatnonzero(cand)
-        if len(idx):
-            hit[idx] = (shift_rows(X[idx], l) == Xi[idx]).all(axis=1)
-        if hit.any():
+        # x <| a^l = x^{-1} for at most one l in 1..t.
+        hit = np.flatnonzero(_shift_cmp(X, l, Xi) == 0)
+        if len(hit):
             vals = X[hit, l % n].astype(np.int64) + l
             if (vals % t).any():
                 raise AssertionError("x(s)+s not a multiple of t")
             s[hit] = l
             u2[hit] = (vals // t) % m
-            found |= hit
-    return found, s, u1, u2
+    return s > 0, s, u1, u2
 
 
 def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
@@ -362,6 +352,7 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
 
     if t < 1 or n % t:
         raise ValueError(f"t={t} must divide n={n}")
+    dtype = _dtype(n)
     limit = default_max_work() if max_work is None else max_work
     m = n // t
     candidates = euler_phi(m) * m ** (t - 1) * math.factorial(t - 1)
@@ -383,7 +374,7 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
         jt = (j * t) % n
         for sw in sigmas:
             base = (u_grid * t + sw[None, 1:]) % n  # x(w), w = 1..t-1
-            block = np.zeros((n_u, n), dtype=_dtype(n))
+            block = np.zeros((n_u, n), dtype=dtype)
             for q in range(m):
                 off = (q * jt) % n
                 block[:, (q * t) % n] = off
@@ -396,10 +387,9 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
 def exact_stabilizer_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """Rows whose stabilizer is exactly <a^t> (the degree-t census set)."""
     X = stabilized_rows(n, t, max_work)
-    keep = np.ones(len(X), dtype=bool)
     for p in prime_factors(t):
-        keep &= ~_stabilized_by(X, t // p)
-    return X[keep]
+        X = X[_shift_cmp(X, t // p) != 0]
+    return X
 
 
 def census_by_dimension(n: int, t: int, max_work: int | None = None) -> tuple[int, int, int]:
@@ -471,12 +461,11 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
 
     for start in range(0, total, chunk):
         X = perm_block(n, start, min(start + chunk, total))
-        t_arr = stabilizer_orders(X)
+        orders = canonical_orders(X)
         for t in divisors(n):
-            reps = X[t_arr == t]
-            res.m_counts[t] += len(reps)
-            if len(reps) and t > 1:
-                reps = reps[orbit_rep_mask(reps, t)]
+            reps = X[orders == t]
+            # Orbit-stabilizer: each orbit holds t permutations.
+            res.m_counts[t] += t * len(reps)
             if not len(reps):
                 continue
             res.orbit_counts[t] += len(reps)

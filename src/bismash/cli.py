@@ -138,7 +138,10 @@ def _cmd_indicators(args) -> int:
         raise _UsageError(f"--n must be at least 2, got {n}")
     if args.t is not None and (args.t < 1 or n % args.t):
         raise _UsageError(f"--t must divide n={n}")
-    table = indicator_table(n, args.t, max_work=args.max_work)
+    try:
+        table = indicator_table(n, args.t, max_work=args.max_work)
+    except ValueError as exc:  # the row-width limit on n
+        raise _UsageError(str(exc)) from None
     rows = (
         {"n": n, "t": t, "orbit_rep": rep, "i": i, "indicator": v}
         for t, reps, values in table

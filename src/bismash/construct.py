@@ -235,7 +235,7 @@ def enumerate_orbit_reps(
     the canonical (lexicographically smallest) representative;
     optionally only orbits containing exactly r involutions."""
     X = bulk.exact_stabilizer_rows(n, t, max_work)
-    reps = X[bulk.orbit_rep_mask(X, t)]
+    reps = X[bulk.canonical_orders(X) == t]
     if r is not None:
         reps = reps[bulk.orbit_involution_counts(reps, t) == r]
     for x in _perms(reps):

@@ -179,7 +179,7 @@ def indicator_table(
     table = []
     for t in [filter_t] if filter_t is not None else divisors(n):
         X = bulk.exact_stabilizer_rows(n, t, max_work)
-        reps = X[bulk.orbit_rep_mask(X, t)]
+        reps = X[bulk.canonical_orders(X) == t]
         reps = reps[np.lexsort(reps.T[::-1])]
         table.append((t, reps, bulk.reduced_indicator_rows(reps, t)))
     return table

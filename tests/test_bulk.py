@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from bismash.counting import (
     units,
 )
 from bismash.indicator import IrrepDescriptor, indicator_bruteforce, indicator_reduced
-from bismash.matched_pair import divisors, inversion_data, orbit, stabilizer
-from bismash.perm import Permutation, from_cycles, is_involution
+from bismash.matched_pair import act_left, divisors, inversion_data, orbit, stabilizer
+from bismash.perm import Permutation, from_cycles, inverse, is_involution
 
 
 def rows_to_perms(X):
@@ -70,18 +72,25 @@ def test_perm_block_matches_lexicographic_listing():
             bulk.perm_block(n, start, stop)
 
 
-def test_stabilizer_orders_match_scalar():
+def test_canonical_orders_match_scalar():
     for n in (6, 8, 9, 10):
         X = bulk.perm_block(n, 0, math.factorial(n - 1))
-        t_arr = bulk.stabilizer_orders(X)
-        for row, t in zip(rows_to_perms(X), t_arr):
-            assert stabilizer(row).t == int(t)
+        values = bulk.canonical_orders(X)
+        scalar_t = Counter()
+        for x, v in zip(rows_to_perms(X), values.tolist()):
+            t = stabilizer(x).t
+            scalar_t[t] += 1
+            if v:
+                assert t == v and x == orbit(x).representative
+        for t in divisors(n):
+            assert int((values == t).sum()) * t == scalar_t[t]
     # The proper strata of degree 12 hold rows that pass the column-1
     # test for a divisor below their own order; the full test rejects them.
     for t in divisors(12)[:-1]:
         X = bulk.exact_stabilizer_rows(12, t)
-        t_arr = bulk.stabilizer_orders(X)
-        assert (t_arr == t).all()
+        values = bulk.canonical_orders(X)
+        assert set(values.tolist()) <= {0, t}
+        assert int((values == t).sum()) * t == len(X)
         for row in rows_to_perms(X):
             assert stabilizer(row).t == t
 
@@ -90,9 +99,6 @@ def test_shift_and_inverse_rows():
     n = 8
     X = bulk.perm_block(n, 0, 500)
     perms = rows_to_perms(X)
-    from bismash.matched_pair import act_left
-    from bismash.perm import inverse
-
     for l in (1, 3, 5):
         Y = bulk.shift_rows(X, l)
         for row, x in zip(Y, perms):
@@ -100,6 +106,21 @@ def test_shift_and_inverse_rows():
     Xi = bulk.inverse_rows(X)
     for row, x in zip(Xi, perms):
         assert tuple(int(v) for v in row) == inverse(x).word
+
+
+def test_row_width_limit():
+    # The int16 row type holds residues and the modulus up to n = 32767.
+    n = 32767
+    x = Permutation(tuple(2 * u % n for u in range(n)))  # u -> 2u, t = 1
+    X = _rows([x], n)
+    for l in (1, 2, n - 1):
+        assert bulk.shift_rows(X, l).tolist() == [list(act_left(x, l).word)]
+    assert bulk.inverse_rows(X).tolist() == [list(inverse(x).word)]
+    assert bulk.canonical_orders(X).tolist() == [stabilizer(x).t] == [1]
+    # Wider rows are refused before anything is built, not overflowed.
+    for call in (lambda: bulk.perm_block(n + 1, 0, 0), lambda: bulk.stabilized_rows(40000, 1)):
+        with pytest.raises(ValueError, match="n <= 32767"):
+            call()
 
 
 def test_inversion_rows_match_scalar():
@@ -143,7 +164,11 @@ def test_seeded_rows_match_census():
                 continue  # strata this size are exercised through sweeps
             X = bulk.exact_stabilizer_rows(n, t)
             assert len(X) == count_M(ctx, t)
-            assert (bulk.stabilizer_orders(X) == t).all()
+            # The strata are unions of orbits: every canonical row having
+            # order t means every row has it.
+            values = bulk.canonical_orders(X)
+            assert set(values.tolist()) <= {0, t}
+            assert int((values == t).sum()) * t == len(X)
 
 
 def test_seeded_rows_workload_guard():
@@ -158,7 +183,7 @@ def test_orbit_rep_mask_and_involution_counts():
     ctx = CountContext(n)
     for t in (2, 3, 6):
         X = bulk.exact_stabilizer_rows(n, t)
-        reps = X[bulk.orbit_rep_mask(X, t)]
+        reps = X[bulk.canonical_orders(X) == t]
         assert len(reps) * t == count_M(ctx, t)
         counts = bulk.orbit_involution_counts(reps, t)
         for r in range(0, t + 1):
@@ -166,11 +191,11 @@ def test_orbit_rep_mask_and_involution_counts():
 
 
 def test_orbit_rep_mask_keeps_canonical_reps_past_degree_16():
-    # A base-n packed int64 row key wraps for n >= 17; the mask must still
+    # A base-n packed int64 row key wraps for n >= 17; the scan must still
     # keep exactly the lexicographically smallest member of each orbit.
     for n, t in [(18, 3), (20, 4), (24, 3), (46, 2), (48, 3)]:
         X = bulk.exact_stabilizer_rows(n, t)
-        kept = {x.word for x in rows_to_perms(X[bulk.orbit_rep_mask(X, t)])}
+        kept = {x.word for x in rows_to_perms(X[bulk.canonical_orders(X) == t])}
         canonical = {orbit(x).representative.word for x in rows_to_perms(X)}
         assert kept == canonical
         assert len(kept) * t == len(X)
@@ -294,10 +319,26 @@ def test_indicator_rows_match_scalar_past_exhaustive_range(x):
     _check_against_scalar(x)
 
 
+def _check_row_ops(x):
+    # The scan, the shift and the inverse on the rows of x's orbit against
+    # the scalar orbit, stabilizer, act_left and inverse.
+    n, t = x.n, stabilizer(x).t
+    members = orbit(x).members
+    Y = _rows(members, n)
+    values = bulk.canonical_orders(Y)
+    assert sorted(values.tolist()) == [0] * (t - 1) + [t]
+    assert Y[values == t].tolist() == [list(orbit(x).representative.word)]
+    X = _rows([x], n)
+    for l in range(n):
+        assert bulk.shift_rows(X, l).tolist() == [list(act_left(x, l).word)]
+    assert bulk.inverse_rows(Y).tolist() == [list(inverse(y).word) for y in members]
+
+
 def test_indicator_rows_at_row_type_edge():
     # n = 120 is the last int8 degree and n = 121 the first int16 one;
     # residue sums such as x^{-1}(c) - l + b exceed int8 from n = 64 on.
-    for n in (120, 121):
+    for n, dtype in ((120, np.int8), (121, np.int16)):
+        assert _rows([], n).dtype == dtype
         for t in (1, 2, 11, 12, 121):
             if n % t:
                 continue
@@ -307,8 +348,14 @@ def test_indicator_rows_at_row_type_edge():
                     n, t, j, Permutation(tuple(range(t))), tuple([0] * (t - 1))
                 )
                 _check_against_scalar(build_from_seed(seed))
+                _check_row_ops(build_from_seed(seed))
         shift = from_cycles(n, [tuple(range(1, n, 2))])
         _check_against_scalar(shift)
+        _check_row_ops(shift)
+        # A shuffled word: trivial stabilizer, n distinct orbit members.
+        word = list(range(1, n))
+        random.Random(n).shuffle(word)
+        _check_row_ops(Permutation((0, *word)))
     # The skew witness (1 5 9 ... n-3)(3 7 ... n-1) has t = 2 and
     # indicator -1 exactly at i = n/4.
     w = from_cycles(120, [tuple(range(1, 120, 4)), tuple(range(3, 120, 4))])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from bismash.cli import main
+
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +48,14 @@ def test_indicators_rejects_bad_degree(capsys):
     assert code == 1 and "usage error" in err
     code, _out, _err = run_cli(capsys, "indicators", "--n", "12", "--t", "5")
     assert code == 1
+
+
+def test_indicators_row_width_limit_is_usage_error(capsys):
+    # Within the workload guard (16000 candidates) but past the int16 rows.
+    code, out, err = run_cli(capsys, "indicators", "--n", "40000", "--t", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "n <= 32767" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_indicators_workload_guard(capsys):
@@ -194,3 +205,15 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == 141
     assert head == [b"n,t,orbit_rep,i,indicator\n", b"10,1,(),0,1\n"]
     assert err == b""
+
+
+def test_stdout_matches_recorded_digests(capsys):
+    # Byte-identical stdout: every recorded `indicators` table and the
+    # `verify` runs at n = 10 and 11 give their recorded exit code and
+    # stdout sha256.
+    digests = json.loads(DIGESTS.read_text())
+    tables = [call for call in digests if call.startswith("indicators ")]
+    assert len(tables) == 93
+    for call in tables + ["verify --n 10", "verify --n 11"]:
+        code, out, _err = run_cli(capsys, *call.split())
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == digests[call], call
