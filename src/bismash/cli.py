@@ -122,9 +122,9 @@ def _emit(rows: Iterable[dict], columns: list[str], args) -> None:
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
         else:
-            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([row.get(c, "") for c in columns] for row in rows)
 
 
 _IND_COLUMNS = ["n", "t", "orbit_rep", "i", "indicator"]
@@ -314,10 +314,16 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
+_parser: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # The parser holds no per-call state: build it on first use only.
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.command == "count":
             code = _cmd_count(args)
         else:

@@ -20,7 +20,9 @@ orbit is counted once per member.
 
 Each "remove the overcount" recursion runs over proper divisors and is
 memoized in a CountContext; all arithmetic is exact arbitrary-width
-integer arithmetic ((n-1)! overflows 64 bits already at n = 22).
+integer arithmetic ((n-1)! overflows 64 bits already at n = 22).  The
+residue sets depend on (j, m) alone and are cached for the process;
+everything that depends on n stays in the per-degree CountContext.
 
 Every count here has an independent enumeration oracle in the
 construction layer, and the test suite holds the two equal on all
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 from .matched_pair import divisors
@@ -120,14 +123,16 @@ def involution_count(m: int) -> int:
 # -- residue sets and gate values --------------------------------------
 #
 # All residues are normalized to {0..m-1}; sets are returned as sorted
-# tuples so they are hashable and deterministic.
+# tuples so they are hashable and deterministic, and cached per (j, m).
 
 
+@lru_cache(maxsize=None)
 def e_set(m: int) -> tuple[int, ...]:
     """Square roots of 1 mod m: the legal values of x(t)/t for involutions."""
     return tuple(j for j in range(m) if (j * j) % m == 1 % m)
 
 
+@lru_cache(maxsize=None)
 def k_set(j: int, m: int) -> tuple[int, ...]:
     """u with u(j+1) = 0 mod m."""
     return tuple(u for u in range(m) if (u * (j + 1)) % m == 0)
@@ -143,11 +148,13 @@ def beta(j: int, m: int) -> int:
     return gcd(j - 1, m)
 
 
+@lru_cache(maxsize=None)
 def p_set(j: int, m: int) -> tuple[int, ...]:
     """Multiples q(j-1) mod m: the subgroup generated by beta(j, m)."""
     return tuple(range(0, m, beta(j, m)))
 
 
+@lru_cache(maxsize=None)
 def p_c_set(j: int, m: int) -> tuple[int, ...]:
     """k_set minus p_set (p_set always sits inside k_set)."""
     p = set(p_set(j, m))
@@ -227,6 +234,18 @@ class CountContext:
             raise ValueError("degree must be positive")
 
 
+@lru_cache(maxsize=None)
+def _proper_divisors(t: int) -> tuple[int, ...]:
+    return tuple(divisors(t)[:-1])
+
+
+@lru_cache(maxsize=None)
+def _pairings(k: int, l: int) -> int:
+    """k! / ((k-2l)! 2^l l!): the ways to pick l disjoint transpositions
+    among k points, the shape factor of every involution count."""
+    return factorial(k) // (factorial(k - 2 * l) * 2**l * factorial(l))
+
+
 def _check_t(ctx: CountContext, t: int) -> None:
     if t < 1 or ctx.n % t:
         raise ValueError(f"t={t} must divide n={ctx.n}")
@@ -244,7 +263,7 @@ def count_M(ctx: CountContext, t: int) -> int:
     if key not in ctx.memo:
         m = ctx.n // t
         total = euler_phi(m) * m ** (t - 1) * factorial(t - 1)
-        total -= sum(count_M(ctx, s) for s in divisors(t)[:-1])
+        total -= sum(count_M(ctx, s) for s in _proper_divisors(t))
         ctx.memo[key] = total
     return ctx.memo[key]
 
@@ -265,13 +284,8 @@ def count_T(ctx: CountContext, t: int) -> int:
         for j in e_set(m):
             a = alpha(j, m)
             for l in range((t - 1) // 2 + 1):
-                total += (
-                    a ** (t - 1 - 2 * l)
-                    * m**l
-                    * factorial(t - 1)
-                    // (factorial(t - 1 - 2 * l) * 2**l * factorial(l))
-                )
-        total -= sum(count_T(ctx, s) for s in divisors(t)[:-1])
+                total += a ** (t - 1 - 2 * l) * m**l * _pairings(t - 1, l)
+        total -= sum(count_T(ctx, s) for s in _proper_divisors(t))
         ctx.memo[key] = total
     return ctx.memo[key]
 
@@ -303,10 +317,9 @@ def count_R(ctx: CountContext, t: int, r: int) -> int:
                     * psize ** (mr - 1)
                     * dpc ** (t - 2 * l - mr)
                     * m**l
-                    * factorial(t - 1)
-                    // (factorial(t - 1 - 2 * l) * 2**l * factorial(l))
+                    * _pairings(t - 1, l)
                 )
-        total -= sum(count_R(ctx, s, r) for s in divisors(t)[:-1])
+        total -= sum(count_R(ctx, s, r) for s in _proper_divisors(t))
         ctx.memo[key] = total
     return ctx.memo[key]
 
@@ -324,13 +337,30 @@ def _coupled_shift_count(
     overstates it whenever the compatible shifts differ between
     residues, and an empty compatible set must kill the term outright
     (0^k for k > 0) rather than be papered over by a placeholder 1.
+    The congruence holds exactly on the multiples of
+    (n/s) / gcd(1+j', n/s), so only those are scanned.
     """
     ns = n // s
     ts = t // s
     pool = set(p_c_set(j_sigma, ts) if complement else p_set(j_sigma, ts))
-    return sum(
-        1 for l in range(ns) if (l * (1 + j_prime)) % ns == 0 and l % ts in pool
-    )
+    return sum(1 for l in range(0, ns, ns // gcd(1 + j_prime, ns)) if l % ts in pool)
+
+
+def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
+    """(j', in_p, in_pc) for each j' in ebar_set(j_sigma, n, t, s): the
+    part of count_C that does not depend on r or the gate, memoized."""
+    key = ("C_shifts", t, s, j_sigma)
+    if key not in ctx.memo:
+        n = ctx.n
+        ctx.memo[key] = tuple(
+            (
+                j_prime,
+                _coupled_shift_count(j_prime, j_sigma, n, t, s, False),
+                _coupled_shift_count(j_prime, j_sigma, n, t, s, True),
+            )
+            for j_prime in ebar_set(j_sigma, n, t, s)
+        )
+    return ctx.memo[key]
 
 
 def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None) -> int:
@@ -356,11 +386,9 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
             if not delta_exists(j_sigma, ts, r, s):
                 continue
             mr = m_ratio(j_sigma, ts, r)
-            for j_prime in ebar_set(j_sigma, n, t, s):
+            for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
                 if j_gate is not None and (j_prime - j_gate) % nt:
                     continue
-                in_p = _coupled_shift_count(j_prime, j_sigma, n, t, s, False)
-                in_pc = _coupled_shift_count(j_prime, j_sigma, n, t, s, True)
                 for l in range((s - mr) // 2 + 1):
                     if s - 1 - 2 * l < mr - 1:
                         continue
@@ -368,11 +396,10 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
                         comb(s - 1 - 2 * l, mr - 1)
                         * in_p ** (mr - 1)
                         * in_pc ** (s - 2 * l - mr)
-                        * factorial(s - 1)
-                        // (factorial(s - 1 - 2 * l) * 2**l * factorial(l))
+                        * _pairings(s - 1, l)
                         * ns**l
                     )
-        total -= sum(count_C(ctx, t, p, r, j_gate) for p in divisors(s)[:-1])
+        total -= sum(count_C(ctx, t, p, r, j_gate) for p in _proper_divisors(s))
         ctx.memo[key] = total
     return ctx.memo[key]
 
@@ -389,9 +416,9 @@ def count_X(ctx: CountContext, t: int, r: int) -> int:
     if key not in ctx.memo:
         m = ctx.n // t
         half = (t - r) // 2
-        shape = factorial(t - 1) // (factorial(r - 1) * 2**half * factorial(half))
-        total = sum(alpha(j, m) ** (r - 1) for j in e_set(m)) * m**half * shape
-        total -= sum(count_C(ctx, t, s, r) for s in divisors(t)[:-1])
+        total = sum(alpha(j, m) ** (r - 1) for j in e_set(m))
+        total *= m**half * _pairings(t - 1, half)
+        total -= sum(count_C(ctx, t, s, r) for s in _proper_divisors(t))
         ctx.memo[key] = total
     return ctx.memo[key]
 
@@ -427,9 +454,8 @@ def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
     key = ("Oj", t, r, j % m)
     if key not in ctx.memo:
         half = (t - r) // 2
-        shape = factorial(t - 1) // (factorial(r - 1) * 2**half * factorial(half))
-        total = alpha(j, m) ** (r - 1) * m**half * shape
-        total -= sum(count_C(ctx, t, s, r, j_gate=j % m) for s in divisors(t)[:-1])
+        total = alpha(j, m) ** (r - 1) * m**half * _pairings(t - 1, half)
+        total -= sum(count_C(ctx, t, s, r, j_gate=j % m) for s in _proper_divisors(t))
         if total % r:
             raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
         ctx.memo[key] = total // r

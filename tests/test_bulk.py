@@ -19,6 +19,7 @@ from bismash.counting import (
     count_T,
     count_X,
     e_set,
+    euler_phi,
     k_set,
     units,
 )
@@ -362,6 +363,40 @@ def test_indicator_rows_at_row_type_edge():
     _check_against_scalar(w)
     values = bulk.bruteforce_indicator_rows(_rows([w], 120), 2)[0]
     assert np.flatnonzero(values == -1).tolist() == [30]
+
+
+def test_stabilized_rows_at_row_type_edge():
+    # The seed expander in both row types against the scalar
+    # build_from_seed of the first and last seeds in lexicographic seed
+    # order (j, sigma, u).  A stratum too large to list must be refused
+    # by the guard one candidate short of its size.
+    from bismash.construct import WorkloadExceeded
+
+    listed = 0
+    for n in (120, 121):
+        for t in (1, 2, 11, 12, 121):
+            if n % t:
+                continue
+            m = n // t
+            candidates = euler_phi(m) * m ** (t - 1) * math.factorial(t - 1)
+            if candidates > 10**6:
+                with pytest.raises(WorkloadExceeded):
+                    bulk.stabilized_rows(n, t, max_work=candidates - 1)
+                continue
+            X = bulk.stabilized_rows(n, t)
+            assert X.dtype == bulk._dtype(n)
+            assert X.shape == (candidates, n)
+            js = units(m)
+            first = RemainderSeed(
+                n, t, js[0], Permutation(tuple(range(t))), (0,) * (t - 1)
+            )
+            last = RemainderSeed(
+                n, t, js[-1], Permutation((0, *range(t - 1, 0, -1))), (m - 1,) * (t - 1)
+            )
+            assert X[0].tolist() == list(build_from_seed(first).word)
+            assert X[-1].tolist() == list(build_from_seed(last).word)
+            listed += 1
+    assert listed == 3  # (120, 1), (120, 2), (121, 1)
 
 
 # bulk.sweep(13), recorded once: 12! = 479,001,600 permutations, about

@@ -188,6 +188,39 @@ def test_unknown_quantity_rejected(capsys):
     assert code == 1
 
 
+def _run_alone(*argv):
+    # One call in a fresh interpreter, as a shell would run it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "bismash.cli", *argv],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    # One parser serves every call in a process; no option of one call
+    # may leak into the next.
+    run_cli(capsys, "count", "--n", "12", "--quantity", "R", "--r", "3")
+    code, out, _err = run_cli(capsys, "count", "--n", "12", "--quantity", "R")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(int(r["t"]), int(r["r"])) for r in rows] == [
+        (t, r) for t in (1, 2, 3, 4, 6, 12) for r in range(1, 13)
+    ]
+    json_argv = ("indicators", "--n", "6", "--format", "json")
+    csv_argv = ("indicators", "--n", "6")
+    _code, out_json, _err = run_cli(capsys, *json_argv)
+    _code, out_csv, _err = run_cli(capsys, *csv_argv)
+    assert out_json.encode() == _run_alone(*json_argv)
+    assert out_csv.encode() == _run_alone(*csv_argv)
+    code, out, err = run_cli(capsys, "count", "--n", "8", "--quantity", "Z")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_quietly():
     # `indicators --n 10` writes about 1 MB; the reader takes two lines
     # and closes the pipe, as `| head -2` does.

@@ -52,6 +52,13 @@ def test_omega():
     assert [omega(m) for m in (2, 6, 12, 30, 49, 210)] == [1, 2, 2, 3, 1, 4]
 
 
+def test_number_theory_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in range(1, 501):
+        assert euler_phi(m) == sympy.totient(m), m
+        assert omega(m) == sympy.primenu(m), m
+
+
 def test_involution_count():
     assert involution_count(1) == 1
     assert involution_count(5) == 26
@@ -115,6 +122,18 @@ def test_helper_sets_worked_values():
     assert ebar_set(2, 12, 3, 1) == (5, 11)
     with pytest.raises(ValueError):
         m_ratio(1, 2, 3)  # beta = 2 does not divide r = 3
+
+
+def test_cached_residue_sets_match_definitions():
+    # The cached sets against their literal definitions, every (j, m).
+    for m in range(1, 201):
+        assert e_set(m) == tuple(j for j in range(m) if (j * j - 1) % m == 0)
+        for j in range(m):
+            k = tuple(u for u in range(m) if (u * (j + 1)) % m == 0)
+            p = {(q * (j - 1)) % m for q in range(m)}
+            assert k_set(j, m) == k
+            assert p_set(j, m) == tuple(sorted(p))
+            assert p_c_set(j, m) == tuple(u for u in k if u not in p)
 
 
 def test_k_prime_set_dimension_two():
@@ -218,6 +237,50 @@ def test_coupled_shift_counts():
     assert _coupled_shift_count(1, 1, 8, 4, 2, complement=True) == 0
     assert _coupled_shift_count(3, 1, 8, 4, 2, complement=False) == 2
     assert _coupled_shift_count(3, 1, 8, 4, 2, complement=True) == 2
+
+
+def _coupled_shift_count_scan(j_prime, j_sigma, n, t, s, complement):
+    # The full scan over all n/s shifts, kept as the reference.
+    ns, ts = n // s, t // s
+    pool = set(p_c_set(j_sigma, ts) if complement else p_set(j_sigma, ts))
+    return sum(
+        1 for l in range(ns) if (l * (1 + j_prime)) % ns == 0 and l % ts in pool
+    )
+
+
+def test_coupled_shift_count_scans_only_solutions():
+    from bismash.counting import _coupled_shift_count
+
+    cases = 0
+    for n in range(1, 61):
+        for t in divisors(n):
+            for s in divisors(t)[:-1]:
+                for j_sigma in e_set(t // s):
+                    for j_prime in ebar_set(j_sigma, n, t, s):
+                        for complement in (False, True):
+                            args = (j_prime, j_sigma, n, t, s, complement)
+                            want = _coupled_shift_count_scan(*args)
+                            assert _coupled_shift_count(*args) == want, args
+                            cases += 1
+    assert cases > 1000
+
+
+def test_repeated_queries_match_fresh_context():
+    # The shift counts count_C memoizes per (t, s, j_sigma) serve every r
+    # and gate: queries on a used context agree with fresh ones.
+    for n in (12, 24, 30, 36, 48, 60):
+        ctx = CountContext(n)
+        queries = [(count_X, t, r) for t in divisors(n) for r in range(1, t + 1)]
+        queries += [
+            (count_O_j, t, r, j)
+            for t in divisors(n)
+            if 1 < t < n
+            for j in e_set(n // t)
+            for r in range(1, t + 1)
+        ]
+        first = [f(ctx, *args) for f, *args in queries]
+        assert [f(ctx, *args) for f, *args in queries] == first
+        assert [f(CountContext(n), *args) for f, *args in queries] == first
 
 
 def test_per_j_orbit_counts_marginalize():

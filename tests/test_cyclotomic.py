@@ -18,6 +18,13 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in range(1, 501):
+        want = sympy.cyclotomic_poly(m, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in want), m
+
+
 def test_cyclotomic_product_recovers_xn_minus_1():
     from bismash.matched_pair import divisors
 
