@@ -475,10 +475,8 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
             tally = res.tallies[t]
             for v in tally:
                 tally[v] += int((red == v).sum()) * t
-            counts = orbit_involution_counts(reps, t)
-            # Only the few orbits holding an involution are scanned again,
-            # for the fixed points of their involution members.
-            _rows, fixed = _involution_members(reps[counts > 0], t)
+            rows, fixed = _involution_members(reps, t)
+            counts = np.bincount(rows, minlength=len(reps))
             _add_histogram(res.orbit_involutions[t], counts)
             _add_histogram(res.involution_fixed_points[t], fixed)
     return res

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import bulk
 from .construct import WorkloadExceeded, default_max_work
@@ -50,7 +50,7 @@ from .hopf import (
 )
 from .indicator import indicator_table, tally_indicators
 from .matched_pair import divisors
-from .perm import Permutation
+from .perm import cycle_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,21 +110,22 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(rows: Iterable[dict], columns: list[str], args) -> None:
-    # Rows are written as they arrive; the JSON framing reproduces
-    # json.dumps(list(rows), indent=0) + "\n" byte for byte.
+def _emit(rows: Iterable[Sequence], columns: list[str], args) -> None:
+    # Rows are sequences in column order, written as they arrive; the JSON
+    # framing reproduces json.dumps(list(rows), indent=0) + "\n" byte for
+    # byte, one object per row.
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         if args.format == "json":
             encoder = json.JSONEncoder(indent=0)
             sep = "[\n"
             for row in rows:
-                fh.write(sep + encoder.encode({c: row.get(c, "") for c in columns}))
+                fh.write(sep + encoder.encode(dict(zip(columns, row))))
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([row.get(c, "") for c in columns] for row in rows)
+            writer.writerows(rows)
 
 
 _IND_COLUMNS = ["n", "t", "orbit_rep", "i", "indicator"]
@@ -143,11 +144,9 @@ def _cmd_indicators(args) -> int:
     except ValueError as exc:  # the row-width limit on n
         raise _UsageError(str(exc)) from None
     rows = (
-        {"n": n, "t": t, "orbit_rep": rep, "i": i, "indicator": v}
+        (n, t, rep, i, v)
         for t, reps, values in table
-        for rep, vals in zip(
-            (str(Permutation(row)) for row in reps.tolist()), values.tolist()
-        )
+        for rep, vals in zip(map(cycle_notation, reps.tolist()), values.tolist())
         for i, v in enumerate(vals)
     )
     _emit(rows, _IND_COLUMNS, args)
@@ -160,20 +159,17 @@ def _cmd_indicators(args) -> int:
     return EXIT_OK
 
 
-def _count_rows(args) -> list[dict]:
+def _count_rows(args) -> list[tuple]:
     n = args.n
     ctx = CountContext(n)
     q = args.quantity
     ts = [args.t] if args.t is not None else divisors(n)
     if args.t is not None and (args.t < 1 or n % args.t):
         raise _UsageError(f"--t must divide n={n}")
-    rows: list[dict] = []
+    rows: list[tuple] = []
 
     def row(quantity, value, t=None, r="", j="", i=""):
-        rows.append(
-            {"n": n, "t": t, "quantity": quantity, "r": r, "j": j, "i": i,
-             "value": value}
-        )
+        rows.append((n, t, quantity, r, j, i, value))
 
     if q == "M":
         for t in ts:
@@ -252,12 +248,10 @@ def _cmd_verify(args) -> int:
             f"workload guard: sweep of {math.factorial(n - 1)} permutations "
             f"exceeds limit {args.max_work}"
         )
-    rows: list[dict] = []
+    rows: list[tuple] = []
 
     def report(check: str, ok: bool, detail: str) -> None:
-        rows.append(
-            {"check": check, "detail": detail, "status": "PASS" if ok else "FAIL"}
-        )
+        rows.append((check, detail, "PASS" if ok else "FAIL"))
 
     for k in range(2, min(n, 4) + 1):
         bad = check_counit_axiom(k)
@@ -308,9 +302,9 @@ def _cmd_verify(args) -> int:
         report("I_t2", ok, f"{n} -> ({plus},{minus},{zero})")
 
     _emit(rows, _VERIFY_COLUMNS, args)
-    failed = [r for r in rows if r["status"] == "FAIL"]
-    for r in failed:
-        print(f"mismatch: {r['check']}: {r['detail']}", file=sys.stderr)
+    failed = [(check, detail) for check, detail, status in rows if status == "FAIL"]
+    for check, detail in failed:
+        print(f"mismatch: {check}: {detail}", file=sys.stderr)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 

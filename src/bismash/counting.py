@@ -18,11 +18,14 @@ dimension 2.  Indicator censuses use the per-(permutation, character)
 convention: every x with stabilizer <a^t> contributes n/t entries, so an
 orbit is counted once per member.
 
-Each "remove the overcount" recursion runs over proper divisors and is
-memoized in a CountContext; all arithmetic is exact arbitrary-width
-integer arithmetic ((n-1)! overflows 64 bits already at n = 22).  The
-residue sets depend on (j, m) alone and are cached for the process;
-everything that depends on n stays in the per-degree CountContext.
+M, T, R and C are each an "exact stabilizer" count got by one sieve,
+``_exact``: count what a^d stabilizes, then subtract the exact counts of
+the proper divisors of d, memoized in a CountContext.  Each count only
+supplies its "stabilized by a^d" term; X and r*O_j are the top (s = t)
+of the C sieve.  All arithmetic is exact arbitrary-width integer
+arithmetic ((n-1)! overflows 64 bits already at n = 22).  The residue
+sets depend on (j, m) alone and are cached for the process; everything
+that depends on n stays in the per-degree CountContext.
 
 Every count here has an independent enumeration oracle in the
 construction layer, and the test suite holds the two equal on all
@@ -50,7 +53,6 @@ __all__ = [
     "alpha",
     "p_set",
     "p_c_set",
-    "delta_pc",
     "beta",
     "delta_exists",
     "m_ratio",
@@ -161,11 +163,6 @@ def p_c_set(j: int, m: int) -> tuple[int, ...]:
     return tuple(u for u in k_set(j, m) if u not in p)
 
 
-def delta_pc(j: int, m: int) -> int:
-    """|p_c_set| with the empty set read as 1, avoiding 0^0 in products."""
-    return len(p_c_set(j, m)) or 1
-
-
 def delta_exists(j: int, m: int, r: int, cap: int) -> int:
     """1 iff an involution with these (j, r) data can exist: beta | r and
     r <= cap * beta (cap is the remainder degree the u_i live under)."""
@@ -207,20 +204,14 @@ def delta_bar(u: int, j: int, m: int) -> int:
     return 0 if (2 * u + 1) % m == j % m else 1
 
 
-def _delta_l(j: int, m: int, r: int, l: int, cap: int) -> int:
-    # When p_c_set is empty every remainder fixed point forces a block of
-    # fixed points, pinning the transposition count to 2l = cap - r/beta.
-    if p_c_set(j, m):
-        return 1
-    return 1 if 2 * l == cap - m_ratio(j, m, r) else 0
-
-
 # -- the counting tower -------------------------------------------------
 
 
 @dataclass
 class CountContext:
-    """Degree plus a memo store for the divisor-lattice recursions.
+    """Degree plus the memo store of the divisor-lattice sieve (every
+    exact count, keyed by its stabilized-count term) and of count_C's
+    shift counts.
 
     Memoized values are written once and never mutated; use one context
     per thread, or share a finished one freely.
@@ -251,77 +242,94 @@ def _check_t(ctx: CountContext, t: int) -> None:
         raise ValueError(f"t={t} must divide n={ctx.n}")
 
 
-def count_M(ctx: CountContext, t: int) -> int:
-    """|M_{n/t}|: permutations fixing n with stabilizer exactly <a^t>.
+def _exact(ctx: CountContext, stabilized, d: int, *args) -> int:
+    """The one sieve of the tower: of the objects stabilized by a^d,
+    ``stabilized(ctx, d, *args)`` of them, those of stabilizer exactly
+    <a^d>.  Stabilized by a^d means stabilizer <a^e> for some e | d, so
+    the exact counts of the proper divisors e of d are subtracted.
+    Memoized in ctx.memo under (stabilized, d, *args)."""
+    key = (stabilized, d, *args)
+    value = ctx.memo.get(key)
+    if value is None:
+        value = stabilized(ctx, d, *args)
+        for e in _proper_divisors(d):
+            value -= _exact(ctx, stabilized, e, *args)
+        ctx.memo[key] = value
+    return value
 
-    phi(n/t) choices of x(t) times the falling product of slot choices
-    for x(1)..x(t-1), minus the counts already claimed by proper
-    divisors of t.
+
+def _fixed_point_terms(k: int, mr: int, p: int, pc: int, base: int) -> int:
+    """Involutions built on a degree-k remainder involution with mr blocks
+    of fixed points, summed over its number l of transpositions.
+
+    Each transposed pair takes one of ``base`` shifts; of the k - 1 - 2l
+    other fixed remainder points, mr - 1 carry a block of fixed points
+    (one of p shifts each) and the rest carry none (one of pc each).
+    With pc = 0 only the term leaving no point to the complement can be
+    nonzero (0**0 == 1), so the sum starts at the largest l.
     """
+    top = (k - mr) // 2
+    total = 0
+    for l in range(top if pc == 0 else 0, top + 1):
+        total += (
+            comb(k - 1 - 2 * l, mr - 1)
+            * p ** (mr - 1)
+            * pc ** (k - 2 * l - mr)
+            * base**l
+            * _pairings(k - 1, l)
+        )
+    return total
+
+
+def _stabilized_M(ctx: CountContext, d: int) -> int:
+    # phi(n/d) choices of x(d) times the falling product of slot choices
+    # for x(1)..x(d-1).
+    m = ctx.n // d
+    return euler_phi(m) * m ** (d - 1) * factorial(d - 1)
+
+
+def count_M(ctx: CountContext, t: int) -> int:
+    """|M_{n/t}|: permutations fixing n with stabilizer exactly <a^t>."""
     _check_t(ctx, t)
-    key = ("M", t)
-    if key not in ctx.memo:
-        m = ctx.n // t
-        total = euler_phi(m) * m ** (t - 1) * factorial(t - 1)
-        total -= sum(count_M(ctx, s) for s in _proper_divisors(t))
-        ctx.memo[key] = total
-    return ctx.memo[key]
+    return _exact(ctx, _stabilized_M, t)
+
+
+def _stabilized_T(ctx: CountContext, d: int) -> int:
+    # Square roots j of 1 mod n/d times remainder involutions with l
+    # transpositions: fixed remainder points take alpha shifts each,
+    # transposed pairs a free residue each.
+    m = ctx.n // d
+    return sum(
+        alpha(j, m) ** (d - 1 - 2 * l) * m**l * _pairings(d - 1, l)
+        for j in e_set(m)
+        for l in range((d - 1) // 2 + 1)
+    )
 
 
 def count_T(ctx: CountContext, t: int) -> int:
-    """|T_{n/t}|: involutions with stabilizer exactly <a^t>.
-
-    Sum over square roots j of 1 mod n/t and over the number l of
-    transpositions in the remainder involution: fixed remainder points
-    contribute alpha choices of shift each, transposed pairs a free
-    residue each.
-    """
+    """|T_{n/t}|: involutions with stabilizer exactly <a^t>."""
     _check_t(ctx, t)
-    key = ("T", t)
-    if key not in ctx.memo:
-        m = ctx.n // t
-        total = 0
-        for j in e_set(m):
-            a = alpha(j, m)
-            for l in range((t - 1) // 2 + 1):
-                total += a ** (t - 1 - 2 * l) * m**l * _pairings(t - 1, l)
-        total -= sum(count_T(ctx, s) for s in _proper_divisors(t))
-        ctx.memo[key] = total
-    return ctx.memo[key]
+    return _exact(ctx, _stabilized_T, t)
+
+
+def _stabilized_R(ctx: CountContext, d: int, r: int) -> int:
+    m = ctx.n // d
+    return sum(
+        _fixed_point_terms(
+            d, m_ratio(j, m, r), len(p_set(j, m)), len(p_c_set(j, m)), m
+        )
+        for j in e_set(m)
+        if delta_exists(j, m, r, d)
+    )
 
 
 def count_R(ctx: CountContext, t: int, r: int) -> int:
     """|R_{n/t,r}|: involutions with stabilizer exactly <a^t> and exactly
     r fixed points, the point n included.  Zero when n - r is odd."""
     _check_t(ctx, t)
-    n = ctx.n
-    if r < 1 or r > n or (n - r) % 2:
+    if r < 1 or r > ctx.n or (ctx.n - r) % 2:
         return 0
-    key = ("R", t, r)
-    if key not in ctx.memo:
-        m = ctx.n // t
-        total = 0
-        for j in e_set(m):
-            if not delta_exists(j, m, r, t):
-                continue
-            mr = m_ratio(j, m, r)
-            psize = len(p_set(j, m))
-            dpc = delta_pc(j, m)
-            for l in range((t - mr) // 2 + 1):
-                if not _delta_l(j, m, r, l, t):
-                    continue
-                if t - 1 - 2 * l < mr - 1:
-                    continue
-                total += (
-                    comb(t - 1 - 2 * l, mr - 1)
-                    * psize ** (mr - 1)
-                    * dpc ** (t - 2 * l - mr)
-                    * m**l
-                    * _pairings(t - 1, l)
-                )
-        total -= sum(count_R(ctx, s, r) for s in _proper_divisors(t))
-        ctx.memo[key] = total
-    return ctx.memo[key]
+    return _exact(ctx, _stabilized_R, t, r)
 
 
 def _coupled_shift_count(
@@ -337,13 +345,17 @@ def _coupled_shift_count(
     overstates it whenever the compatible shifts differ between
     residues, and an empty compatible set must kill the term outright
     (0^k for k > 0) rather than be papered over by a placeholder 1.
-    The congruence holds exactly on the multiples of
-    (n/s) / gcd(1+j', n/s), so only those are scanned.
+    The congruence holds exactly on the gcd(1+j', n/s) multiples of
+    g = (n/s) / gcd(1+j', n/s).  Their residues mod t/s repeat with
+    period (t/s) / gcd(g, t/s), which divides their number (t/s divides
+    n/s), so one period is scanned and scaled.
     """
     ns = n // s
     ts = t // s
     pool = set(p_c_set(j_sigma, ts) if complement else p_set(j_sigma, ts))
-    return sum(1 for l in range(0, ns, ns // gcd(1 + j_prime, ns)) if l % ts in pool)
+    g = ns // gcd(1 + j_prime, ns)
+    period = ts // gcd(g, ts)
+    return ns // g // period * sum(1 for k in range(period) if k * g % ts in pool)
 
 
 def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
@@ -363,64 +375,47 @@ def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
     return ctx.memo[key]
 
 
+def _stabilized_C(ctx: CountContext, s: int, t: int, r: int, j_gate: int | None) -> int:
+    ts, ns, nt = t // s, ctx.n // s, ctx.n // t
+    total = 0
+    for j_sigma in e_set(ts):
+        if not delta_exists(j_sigma, ts, r, s):
+            continue
+        mr = m_ratio(j_sigma, ts, r)
+        for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
+            if j_gate is None or (j_prime - j_gate) % nt == 0:
+                total += _fixed_point_terms(s, mr, in_p, in_pc, ns)
+    return total
+
+
 def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None) -> int:
     """|C_{n,t,s,r}|: the overcount term of the orbit-involution count.
 
     Counts involutions that a degree-t remainder with r fixed points
     would generate but whose stabilizer is exactly <a^s> for the proper
     divisor s of t.  With ``j_gate`` given, only those with
-    x(t) = j_gate * t are kept (the per-j refinement); the overcount
-    recursion carries the gate down unchanged.
+    x(t) = j_gate * t are kept (the per-j refinement); the sieve over
+    the divisors of s carries the gate down unchanged.
     """
     _check_t(ctx, t)
     if s < 1 or t % s or s == t:
         raise ValueError(f"s={s} must be a proper divisor of t={t}")
-    key = ("C", t, s, r, j_gate)
-    if key not in ctx.memo:
-        n = ctx.n
-        ts = t // s
-        ns = n // s
-        nt = n // t
-        total = 0
-        for j_sigma in e_set(ts):
-            if not delta_exists(j_sigma, ts, r, s):
-                continue
-            mr = m_ratio(j_sigma, ts, r)
-            for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
-                if j_gate is not None and (j_prime - j_gate) % nt:
-                    continue
-                for l in range((s - mr) // 2 + 1):
-                    if s - 1 - 2 * l < mr - 1:
-                        continue
-                    total += (
-                        comb(s - 1 - 2 * l, mr - 1)
-                        * in_p ** (mr - 1)
-                        * in_pc ** (s - 2 * l - mr)
-                        * _pairings(s - 1, l)
-                        * ns**l
-                    )
-        total -= sum(count_C(ctx, t, p, r, j_gate) for p in _proper_divisors(s))
-        ctx.memo[key] = total
-    return ctx.memo[key]
+    return _exact(ctx, _stabilized_C, s, t, r, j_gate)
 
 
 def count_X(ctx: CountContext, t: int, r: int) -> int:
     """|X_{n/t,r}|: involutions of stabilizer exactly <a^t> whose orbit
-    contains exactly r involutions.  Zero when t - r is negative or odd."""
+    contains exactly r involutions.  Zero when t - r is negative or odd.
+
+    The top (s = t) of the overcount sieve: at s = t the remainder is
+    trivial and the term sum collapses to sum_j alpha(j, n/t)^(r-1)
+    (n/t)^h pairings(t-1, h), h = (t-r)/2, and the sieve takes the
+    C_{n,t,s,r} of the proper divisors s off it.
+    """
     _check_t(ctx, t)
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    if t == 1:
-        return count_T(ctx, 1)
-    key = ("X", t, r)
-    if key not in ctx.memo:
-        m = ctx.n // t
-        half = (t - r) // 2
-        total = sum(alpha(j, m) ** (r - 1) for j in e_set(m))
-        total *= m**half * _pairings(t - 1, half)
-        total -= sum(count_C(ctx, t, s, r) for s in _proper_divisors(t))
-        ctx.memo[key] = total
-    return ctx.memo[key]
+    return _exact(ctx, _stabilized_C, t, t, r, None)
 
 
 def count_O(ctx: CountContext, t: int, r: int) -> int:
@@ -451,15 +446,10 @@ def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
         raise ValueError(f"j={j} is not a square root of 1 mod {m}")
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    key = ("Oj", t, r, j % m)
-    if key not in ctx.memo:
-        half = (t - r) // 2
-        total = alpha(j, m) ** (r - 1) * m**half * _pairings(t - 1, half)
-        total -= sum(count_C(ctx, t, s, r, j_gate=j % m) for s in _proper_divisors(t))
-        if total % r:
-            raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
-        ctx.memo[key] = total // r
-    return ctx.memo[key]
+    total = _exact(ctx, _stabilized_C, t, t, r, j % m)
+    if total % r:
+        raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
+    return total // r
 
 
 def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:

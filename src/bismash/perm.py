@@ -29,6 +29,7 @@ __all__ = [
     "inverse",
     "from_cycles",
     "to_cycles",
+    "cycle_notation",
     "fixed_points",
     "is_involution",
     "parse_permutation",
@@ -121,10 +122,7 @@ class Permutation:
         return inverse(self)
 
     def __str__(self) -> str:
-        cycles = to_cycles(self)
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return cycle_notation(self.word)
 
     def __repr__(self) -> str:
         return f"Permutation.from_one_line({list(self.one_line())!r})"
@@ -169,7 +167,11 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
 def to_cycles(x: Permutation) -> tuple[tuple[int, ...], ...]:
     """Canonical cycle decomposition: 1-indexed, fixed points omitted,
     each cycle starting at its minimum, cycles ordered by minimum."""
-    n = x.n
+    return _word_cycles(x.word)
+
+
+def _word_cycles(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    n = len(word)
     done = [False] * n
     cycles = []
     for start in range(1, n + 1):
@@ -177,14 +179,23 @@ def to_cycles(x: Permutation) -> tuple[tuple[int, ...], ...]:
             continue
         cycle = [start]
         done[start % n] = True
-        p = x.word[start % n] or n
+        p = word[start % n] or n
         while p != start:
             cycle.append(p)
             done[p % n] = True
-            p = x.word[p % n] or n
+            p = word[p % n] or n
         if len(cycle) > 1:
             cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def cycle_notation(word: Sequence[int]) -> str:
+    """The cycle notation of a residue word, e.g. ``(1 2)(3 5 4)``, or
+    ``()`` for the identity; the word is trusted to be a bijection."""
+    cycles = _word_cycles(word)
+    if not cycles:
+        return "()"
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
 def fixed_points(x: Permutation) -> list[int]:

@@ -241,12 +241,14 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_stdout_matches_recorded_digests(capsys):
-    # Byte-identical stdout: every recorded `indicators` table and the
-    # `verify` runs at n = 10 and 11 give their recorded exit code and
+    # Byte-identical stdout: every recorded `indicators` table, every
+    # recorded `count` call (the tower for n <= 150, ratios included) and
+    # the `verify` runs at n = 10 and 11 give their recorded exit code and
     # stdout sha256.
     digests = json.loads(DIGESTS.read_text())
     tables = [call for call in digests if call.startswith("indicators ")]
-    assert len(tables) == 93
-    for call in tables + ["verify --n 10", "verify --n 11"]:
+    counts = [call for call in digests if call.startswith("count ")]
+    assert len(tables) == 93 and len(counts) == 1603
+    for call in tables + counts + ["verify --n 10", "verify --n 11"]:
         code, out, _err = run_cli(capsys, *call.split())
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == digests[call], call

@@ -22,7 +22,6 @@ from bismash.counting import (
     count_T,
     count_X,
     delta_exists,
-    delta_pc,
     e_set,
     ebar_set,
     euler_phi,
@@ -117,7 +116,7 @@ def test_helper_sets_worked_values():
     assert alpha(5, 6) == 6
     # n = 8, t = 4, j = 1, r = 2: m = 2
     assert beta(1, 2) == 2 and delta_exists(1, 2, 2, 4) == 1 and m_ratio(1, 2, 2) == 1
-    assert p_set(1, 2) == (0,) and p_c_set(1, 2) == (1,) and delta_pc(1, 2) == 1
+    assert p_set(1, 2) == (0,) and p_c_set(1, 2) == (1,)
     # n = 12, t = 3, s = 1, j_sigma = 2
     assert ebar_set(2, 12, 3, 1) == (5, 11)
     with pytest.raises(ValueError):
@@ -249,12 +248,14 @@ def _coupled_shift_count_scan(j_prime, j_sigma, n, t, s, complement):
 
 
 def test_coupled_shift_count_scans_only_solutions():
+    # Every s | t, s = t included: the top of the overcount sieve
+    # (count_X, count_O_j) reads the shift counts at s = t.
     from bismash.counting import _coupled_shift_count
 
     cases = 0
     for n in range(1, 61):
         for t in divisors(n):
-            for s in divisors(t)[:-1]:
+            for s in divisors(t):
                 for j_sigma in e_set(t // s):
                     for j_prime in ebar_set(j_sigma, n, t, s):
                         for complement in (False, True):
@@ -306,6 +307,38 @@ def test_overcount_terms_marginalize():
                         count_C(ctx, t, s, r, j_gate=j) for j in e_set(n // t)
                     )
                     assert total == count_C(ctx, t, s, r)
+
+
+def _pairings(k, l):
+    return math.factorial(k) // (math.factorial(k - 2 * l) * 2**l * math.factorial(l))
+
+
+def test_orbit_involution_closed_form():
+    # count_X and r*count_O_j against the closed form of the s = t term:
+    # sum_j alpha(j, m)^(r-1) * m^h * pairings(t-1, h), h = (t-r)/2, minus
+    # the overcount C_{n,t,s,r} of every proper divisor s of t, with the
+    # sum and the overcount gated to one j for O_j.
+    cells = 0
+    for n in range(2, 61):
+        ctx = CountContext(n)
+        for t in divisors(n):
+            m = n // t
+            for r in range(2 - t % 2, t + 1, 2):
+                h = (t - r) // 2
+                top = m**h * _pairings(t - 1, h)
+
+                def closed(gate):
+                    js = e_set(m) if gate is None else (gate,)
+                    return sum(alpha(j, m) ** (r - 1) for j in js) * top - sum(
+                        count_C(ctx, t, s, r, gate) for s in divisors(t)[:-1]
+                    )
+
+                assert count_X(ctx, t, r) == closed(None), (n, t, r)
+                if 1 < t < n:
+                    for j in e_set(m):
+                        assert r * count_O_j(ctx, t, r, j) == closed(j), (n, t, r, j)
+                cells += 1
+    assert cells > 1000
 
 
 def test_counts_match_enumeration_small():
