@@ -9,35 +9,49 @@ permutations at n = 12) lists the permutations as lexicographic prefixes
 times one cached table of the last min(n-1, 8) positions, finds each
 orbit's smallest member and stabilizer order in one scan of the shifts
 x <| a^l, and evaluates both routes chunk by chunk, so its memory is
-bounded by the chunk size.  Every comparison of a shifted row (the scan,
-the exactness filter of the seeded strata, the search for the inverting
-shift) goes through one lexicographic comparison that reads column 1
-first and compares whole rows only on ties.
+bounded by the chunk size.  The seeded strata -- the rows stabilized by
+a^t, those of stabilizer exactly <a^t>, and the involution stratum among
+them -- come from one block expander over (j, sigma, u) seeds once the
+workload guard has passed their candidate count, and one representative
+filter keeps the smallest member of each orbit.
+Every comparison of a shifted row (the scan, the exactness filter, the
+search for the inverting shift) goes through one lexicographic
+comparison that reads column 1 first and compares whole rows on ties.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, so each
 (member, shift) pair is compared on a few columns of x and x^{-1} and
 only the pairs that match there are compared in full.  The involution
-test reads y(y(u)) = u column by column the same way.
-
-Nothing here is approximate: the work is integer array arithmetic, and
-the brute-force route reduces its root-of-unity sums through the same
-integer cyclotomic basis matrices as the scalar oracle.
+test reads y(y(u)) = u column by column the same way.  Nothing here is
+approximate: the work is integer array arithmetic, and the brute-force
+route reduces its root-of-unity sums through the same integer
+cyclotomic basis matrices as the scalar oracle.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .counting import euler_phi, prime_factors, units
+from .counting import (
+    CountContext,
+    _stabilized_M,
+    _stabilized_T,
+    e_set,
+    k_set,
+    prime_factors,
+    units,
+)
 from .cyclotomic import power_basis_rows
 from .matched_pair import divisors
 
 __all__ = [
+    "WorkloadExceeded",
+    "default_max_work",
     "perm_block",
     "canonical_orders",
     "shift_rows",
@@ -47,10 +61,25 @@ __all__ = [
     "bruteforce_indicator_rows",
     "stabilized_rows",
     "exact_stabilizer_rows",
+    "exact_involution_rows",
+    "orbit_rep_rows",
     "census_by_dimension",
     "sweep",
     "SweepResult",
 ]
+
+
+class WorkloadExceeded(RuntimeError):
+    """Raised when an enumeration would generate more candidates than allowed."""
+
+
+def default_max_work() -> int:
+    """The workload guard's limit: $BISMASH_MAX_WORK if set, else 10**8."""
+    env = os.environ.get("BISMASH_MAX_WORK")
+    try:
+        return int(env) if env else 10**8
+    except ValueError:
+        raise ValueError(f"BISMASH_MAX_WORK must be an integer, got {env!r}") from None
 
 
 def _dtype(n: int):
@@ -203,11 +232,8 @@ def _involution_members(X: np.ndarray, t: int):
 
 
 def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
-    """Per-row count of involutions among the t orbit members.
-
-    Definition-level: each member y = x <| a^l is tested for y*y = id,
-    column by column.
-    """
+    """Per-row count of involutions among the t orbit members, each
+    member y = x <| a^l tested for y*y = id column by column."""
     rows, _fixed = _involution_members(X, t)
     return np.bincount(rows, minlength=len(X)).astype(np.int16)
 
@@ -339,6 +365,71 @@ def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def _guard(candidates: int, max_work: int | None, what: str) -> None:
+    # The workload guard: refuse, before anything is built, a job of more
+    # candidates than the limit (default_max_work() unless given).
+    limit = default_max_work() if max_work is None else max_work
+    if candidates > limit:
+        raise WorkloadExceeded(
+            f"workload guard: {what} has {candidates} candidates, limit {limit}"
+        )
+
+
+def _odometer(sizes: list[int]) -> np.ndarray:
+    # Every tuple c with 0 <= c[i] < sizes[i], one per row, in big-endian
+    # odometer order (the last entry turns fastest).
+    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+
+
+def _involution_words(points: tuple[int, ...]):
+    # The involutions of `points` as {point: image}, in one-line lexicographic
+    # order: the smallest point goes to itself, then to each larger partner.
+    if not points:
+        yield {}
+        return
+    p, rest = points[0], points[1:]
+    for image in _involution_words(rest):
+        yield {p: p, **image}
+    for i, q in enumerate(rest):
+        for image in _involution_words(rest[:i] + rest[i + 1 :]):
+            yield {p: q, q: p, **image}
+
+
+def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
+    # A stratum's candidate count, the tower's term stabilized(ctx, t), guarded.
+    if t < 1 or n % t:
+        raise ValueError(f"t={t} must divide n={n}")
+    size = stabilized(CountContext(n), t)
+    _guard(size, max_work, f"stratum (n={n}, t={t})")
+    return size
+
+
+def _expand(n: int, t: int, seeds, size: int) -> np.ndarray:
+    # The rows x(q*t + w) = q*j*t + x(w), x(w) = u_w*t + sigma(w), of the
+    # seed groups (j, sigma, U), one u per row of U, in group order; the
+    # seeds must fill the `size` candidates exactly.
+    m = n // t
+    out = np.empty((size, n), dtype=_dtype(n))
+    at = 0
+    for j, sigma, U in seeds:
+        block = out[at : at + len(U)].reshape(len(U), m, t)  # [row, q, w]
+        at += len(U)
+        off = np.arange(m)[:, None] * (j * t) % n
+        block[:, :, 0] = off[:, 0]
+        block[:, :, 1:] = (off + (U * t + np.asarray(sigma[1:]))[:, None, :]) % n
+    if at != size:
+        raise ArithmeticError(f"{at} seeds listed for {size} candidates")
+    return out
+
+
+def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
+    # The rows of an a^t-stabilized stratum whose stabilizer is exactly
+    # <a^t>: no shift by t/p, p a prime factor of t, fixes them.
+    for p in prime_factors(t):
+        X = X[_shift_cmp(X, t // p) != 0]
+    return X
+
+
 def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """All rows stabilized by a^t, built directly from (j, sigma, u) seeds.
 
@@ -348,67 +439,71 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     number of candidates is phi(n/t) * (n/t)^(t-1) * (t-1)!; the
     workload guard rejects strata that would not fit in memory anyway.
     """
-    from .construct import WorkloadExceeded, default_max_work
-
-    if t < 1 or n % t:
-        raise ValueError(f"t={t} must divide n={n}")
-    dtype = _dtype(n)
-    limit = default_max_work() if max_work is None else max_work
-    m = n // t
-    candidates = euler_phi(m) * m ** (t - 1) * math.factorial(t - 1)
-    if candidates > limit:
-        raise WorkloadExceeded(
-            f"workload guard: stratum (n={n}, t={t}) has {candidates} "
-            f"candidates, limit {limit}"
-        )
+    size, m = _stratum(n, t, _stabilized_M, max_work), n // t
     if t == n:
         # a^n = 1 stabilizes everything; the seeds degenerate to S_{n-1}.
-        return perm_block(n, 0, math.factorial(n - 1))
-    sigmas = perm_block(t, 0, math.factorial(t - 1))  # (S, t)
-    n_u = m ** (t - 1)
-    u_grid = np.empty((n_u, t - 1), dtype=np.int64)
-    for i in range(t - 1):
-        u_grid[:, i] = (np.arange(n_u) // m ** (t - 2 - i)) % m
-    blocks = []
-    for j in units(m):
-        jt = (j * t) % n
-        for sw in sigmas:
-            base = (u_grid * t + sw[None, 1:]) % n  # x(w), w = 1..t-1
-            block = np.zeros((n_u, n), dtype=dtype)
-            for q in range(m):
-                off = (q * jt) % n
-                block[:, (q * t) % n] = off
-                for w in range(1, t):
-                    block[:, q * t + w] = (off + base[:, w - 1]) % n
-            blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+        return perm_block(n, 0, size)
+    U = _odometer([m] * (t - 1))
+    sigmas = perm_block(t, 0, math.factorial(t - 1))
+    return _expand(n, t, ((j, sw, U) for j in units(m) for sw in sigmas), size)
 
 
 def exact_stabilizer_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """Rows whose stabilizer is exactly <a^t> (the degree-t census set)."""
-    X = stabilized_rows(n, t, max_work)
-    for p in prime_factors(t):
-        X = X[_shift_cmp(X, t // p) != 0]
-    return X
+    return _exact_rows(stabilized_rows(n, t, max_work), t)
+
+
+def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
+    """The involutions whose stabilizer is exactly <a^t>, in seed order.
+
+    Seeds are constrained at the source: j is a square root of 1 mod
+    n/t, sigma an involution of {1..t-1} (in one-line lexicographic
+    order), and u a big-endian odometer over u_i in k_set(j, n/t) at the
+    fixed points i of sigma, then over u_i at its 2-cycles (i, sigma(i)),
+    i < sigma(i), which set u_sigma(i) = -j*u_i.
+    """
+    size, m = _stratum(n, t, _stabilized_T, max_work), n // t
+
+    def seeds():
+        for j in e_set(m):
+            kernel = np.array(k_set(j, m))
+            # Per number l of 2-cycles: u at fixed points, 2-cycles, partners.
+            shapes = {}
+            for image in _involution_words(tuple(range(1, t))):
+                fixed = [i for i in range(1, t) if image[i] == i]
+                pairs = [i for i in range(1, t) if image[i] > i]
+                l, f = len(pairs), len(fixed)
+                if l not in shapes:
+                    C = _odometer([len(kernel)] * f + [m] * l)
+                    shapes[l] = np.hstack([kernel[C[:, :f]], C[:, f:], -j * C[:, f:] % m])
+                sigma = [0] + [image[i] for i in range(1, t)]
+                cols = fixed + pairs + [image[i] for i in pairs]
+                yield j, sigma, shapes[l][:, sorted(range(t - 1), key=cols.__getitem__)]
+
+    return _exact_rows(_expand(n, t, seeds(), size), t)
+
+
+def orbit_rep_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
+    """The canonical (lexicographically smallest) member of every orbit of
+    stabilizer order t, in the seed order of ``exact_stabilizer_rows``."""
+    X = exact_stabilizer_rows(n, t, max_work)
+    return X[canonical_orders(X) == t]
+
+
+def _tally(values: np.ndarray, t: int) -> dict[int, int]:
+    # {+1, -1, 0} over indicator rows of order-t representatives, per
+    # (permutation, character): orbit members share indicators, so each
+    # representative counts t times.
+    return {v: t * int((values == v).sum()) for v in (1, -1, 0)}
 
 
 def census_by_dimension(n: int, t: int, max_work: int | None = None) -> tuple[int, int, int]:
-    """(plus, minus, zero) tallies over all (x, i) pairs of dimension t.
-
-    x runs over the permutations with stabilizer exactly <a^t> and i over
-    the n/t characters, i.e. one entry per permutation and character --
-    each orbit is counted once per member.
-    """
-    X = exact_stabilizer_rows(n, t, max_work)
-    m = n // t
-    N = len(X)
-    if N == 0:
-        return 0, 0, 0
-    ind = reduced_indicator_rows(X, t)
-    plus = int((ind == 1).sum())
-    minus = int((ind == -1).sum())
-    zero = N * m - plus - minus
-    return plus, minus, zero
+    """(plus, minus, zero) tallies over all (x, i) pairs of dimension t:
+    x of stabilizer exactly <a^t>, i one of the n/t characters.  Each
+    orbit is evaluated on its representative and counted per member."""
+    reps = orbit_rep_rows(n, t, max_work)
+    tally = _tally(reduced_indicator_rows(reps, t), t)
+    return tally[1], tally[-1], tally[0]
 
 
 @dataclass
@@ -472,9 +567,8 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
             red = reduced_indicator_rows(reps, t)
             bru = bruteforce_indicator_rows(reps, t)
             res.mismatches += int((red != bru).sum())
-            tally = res.tallies[t]
-            for v in tally:
-                tally[v] += int((red == v).sum()) * t
+            for v, c in _tally(red, t).items():
+                res.tallies[t][v] += c
             rows, fixed = _involution_members(reps, t)
             counts = np.bincount(rows, minlength=len(reps))
             _add_histogram(res.orbit_involutions[t], counts)

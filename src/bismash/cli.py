@@ -243,11 +243,7 @@ def _cmd_verify(args) -> int:
     n = args.n
     if n < 2:
         raise _UsageError(f"--n must be at least 2, got {n}")
-    if math.factorial(n - 1) > args.max_work:
-        raise WorkloadExceeded(
-            f"workload guard: sweep of {math.factorial(n - 1)} permutations "
-            f"exceeds limit {args.max_work}"
-        )
+    bulk._guard(math.factorial(n - 1), args.max_work, f"sweep of S_{n - 1}")
     rows: list[tuple] = []
 
     def report(check: str, ok: bool, detail: str) -> None:

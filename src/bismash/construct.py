@@ -12,27 +12,27 @@ permutations stabilized by a^t, which is what lets these enumerators
 replace (n-1)!-sized scans.  An involution corresponds exactly to a
 seed with j^2 = 1 mod n/t, sigma an involution, and u_i = -j*u_sigma(i).
 
-Streams are generated in lexicographic seed order (j ascending, sigma in
-one-line lexicographic order, u as a big-endian odometer), making runs
-deterministic and partitionable.  The strata themselves are expanded by
-``bulk.stabilized_rows``; the iterators here are views over its rows.  A
-workload guard caps the number of generated candidates; the factorial
-growth of the problem makes large (n, t) infeasible and the guard turns
-that into a clean error.
+Streams come in lexicographic seed order (j ascending, sigma in one-line
+lexicographic order, u as a big-endian odometer), so runs are
+deterministic.  The iterators here are views over the rows ``bulk``
+expands from the seeds; ``build_from_seed`` and ``extract_seed`` are the
+scalar seed maps.  The workload guard checks a stratum's candidate count
+before anything is expanded: the factorial growth of the problem makes
+large (n, t) infeasible, and the guard turns that into a clean error.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
+import numpy as np
+
 from . import bulk
-from .counting import e_set, k_set
+from .bulk import WorkloadExceeded, default_max_work
 from .matched_pair import Orbit, orbit, stabilizer
-from .perm import Permutation, fixed_points
+from .perm import Permutation
 
 __all__ = [
     "WorkloadExceeded",
@@ -46,37 +46,6 @@ __all__ = [
     "enumerate_involutions_fixed",
     "enumerate_orbit_reps",
 ]
-
-DEFAULT_MAX_WORK = 10**8
-
-
-class WorkloadExceeded(RuntimeError):
-    """Raised when an enumeration would generate more candidates than allowed."""
-
-
-def default_max_work() -> int:
-    env = os.environ.get("BISMASH_MAX_WORK")
-    if not env:
-        return DEFAULT_MAX_WORK
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"BISMASH_MAX_WORK must be an integer, got {env!r}") from None
-
-
-class _WorkMeter:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int | None):
-        self.limit = default_max_work() if limit is None else limit
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise WorkloadExceeded(
-                f"workload guard: {self.used} candidates exceeds limit {self.limit}"
-            )
 
 
 @dataclass(frozen=True)
@@ -133,35 +102,6 @@ def extract_seed(x: Permutation) -> RemainderSeed:
     return RemainderSeed(n, t, j, Permutation(tuple(sigma_word)), u)
 
 
-def _involution_words(k: int) -> Iterator[tuple[int, ...]]:
-    # Involutions of {1..k}, embedded as degree-(k+1) words fixing 0,
-    # in lex order over one-line forms.  Built by assigning the smallest
-    # open point either to itself or to a larger partner.
-    word = list(range(k + 1))
-    taken = [False] * (k + 1)
-
-    def rec(p: int) -> Iterator[tuple[int, ...]]:
-        while p <= k and taken[p]:
-            p += 1
-        if p > k:
-            yield tuple(word)
-            return
-        taken[p] = True
-        word[p] = p
-        yield from rec(p + 1)
-        for q in range(p + 1, k + 1):
-            if not taken[q]:
-                taken[q] = True
-                word[p], word[q] = q, p
-                yield from rec(p + 1)
-                word[q] = q
-                taken[q] = False
-        word[p] = p
-        taken[p] = False
-
-    yield from rec(1)
-
-
 def _perms(X) -> Iterator[Permutation]:
     for row in X:
         yield Permutation(tuple(row.tolist()))
@@ -185,35 +125,9 @@ def enumerate_exact_stabilizer(
 def enumerate_involutions(
     n: int, t: int, max_work: int | None = None
 ) -> Iterator[Permutation]:
-    """Involutions with stabilizer exactly <a^t>.
-
-    Seeds are constrained at the source: j ranges over square roots of 1
-    mod n/t, sigma over involutions of {1..t-1}, and u honors
-    u_i = -j*u_sigma(i) (so fixed points of sigma need (j+1)u_i = 0 and
-    each 2-cycle of sigma leaves one free residue).
-    """
-    if t < 1 or n % t:
-        raise ValueError(f"t={t} must divide n={n}")
-    m = n // t
-    meter = _WorkMeter(max_work)
-    for j in e_set(m):
-        kernel = k_set(j, m)
-        for sigma_word in _involution_words(t - 1):
-            sigma = Permutation(sigma_word)
-            fixed = [i for i in range(1, t) if sigma_word[i] == i]
-            pairs = [(i, sigma_word[i]) for i in range(1, t) if sigma_word[i] > i]
-            choice_sets = [kernel] * len(fixed) + [list(range(m))] * len(pairs)
-            for choice in product(*choice_sets):
-                meter.charge()
-                u = [0] * (t - 1)
-                for i, v in zip(fixed, choice[: len(fixed)]):
-                    u[i - 1] = v
-                for (i, i2), v in zip(pairs, choice[len(fixed) :]):
-                    u[i - 1] = v
-                    u[i2 - 1] = (-j * v) % m
-                x = build_from_seed(RemainderSeed(n, t, j, sigma, tuple(u)))
-                if stabilizer(x).t == t:
-                    yield x
+    """Involutions with stabilizer exactly <a^t>, from seeds constrained
+    at the source (see ``bulk.exact_involution_rows``)."""
+    yield from _perms(bulk.exact_involution_rows(n, t, max_work))
 
 
 def enumerate_involutions_fixed(
@@ -223,19 +137,17 @@ def enumerate_involutions_fixed(
     points, the point n included.  Empty when n - r is odd."""
     if (n - r) % 2 or r < 1:
         return
-    for x in enumerate_involutions(n, t, max_work):
-        if len(fixed_points(x)) == r:
-            yield x
+    X = bulk.exact_involution_rows(n, t, max_work)
+    yield from _perms(X[(X == np.arange(n)).sum(axis=1) == r])
 
 
 def enumerate_orbit_reps(
     n: int, t: int, r: int | None = None, max_work: int | None = None
 ) -> Iterator[Orbit]:
     """One Orbit per equivalence class with stabilizer order t, keyed by
-    the canonical (lexicographically smallest) representative;
-    optionally only orbits containing exactly r involutions."""
-    X = bulk.exact_stabilizer_rows(n, t, max_work)
-    reps = X[bulk.canonical_orders(X) == t]
+    the canonical (lexicographically smallest) representative, in seed
+    order; optionally only orbits containing exactly r involutions."""
+    reps = bulk.orbit_rep_rows(n, t, max_work)
     if r is not None:
         reps = reps[bulk.orbit_involution_counts(reps, t) == r]
     for x in _perms(reps):

@@ -400,6 +400,8 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
     _check_t(ctx, t)
     if s < 1 or t % s or s == t:
         raise ValueError(f"s={s} must be a proper divisor of t={t}")
+    if r < 1:
+        return 0
     return _exact(ctx, _stabilized_C, s, t, r, j_gate)
 
 
@@ -422,10 +424,7 @@ def count_O(ctx: CountContext, t: int, r: int) -> int:
     """|O_{n/t,r}|: orbits of length t containing exactly r involutions."""
     _check_t(ctx, t)
     if r:
-        x = count_X(ctx, t, r)
-        if x % r:
-            raise ArithmeticError(f"X_{{{ctx.n}/{t},{r}}}={x} not divisible by r={r}")
-        return x // r
+        return _orbits(ctx, t, r, None)
     total = count_M(ctx, t)
     if total % t:
         raise ArithmeticError("M count not divisible by orbit length")
@@ -444,9 +443,16 @@ def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
     m = ctx.n // t
     if j % m not in e_set(m):
         raise ValueError(f"j={j} is not a square root of 1 mod {m}")
+    return _orbits(ctx, t, r, j % m)
+
+
+def _orbits(ctx: CountContext, t: int, r: int, j_gate: int | None) -> int:
+    # |O_{n/t,r}|, or |O_{n/t,r,j}| with a gate j, for every t | n and r,
+    # arguments unchecked: r times it is the top (s = t) of the C sieve,
+    # X_{n/t,r} without a gate.
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    total = _exact(ctx, _stabilized_C, t, t, r, j % m)
+    total = _exact(ctx, _stabilized_C, t, t, r, j_gate)
     if total % r:
         raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
     return total // r
@@ -463,18 +469,12 @@ def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:
     if t % 2 == 0:
         raise ValueError(f"dimension t={t} must be odd")
     _check_t(ctx, t)
-    n = ctx.n
-    m = n // t
-    if t == 1:
-        plus = sum(alpha(j, m) for j in e_set(m))
-    elif t == n:
-        plus = n * sum(count_O(ctx, n, r) for r in range(1, n + 1))
-    else:
-        plus = t * sum(
-            alpha(j, m) * count_O_j(ctx, t, r, j)
-            for j in e_set(m)
-            for r in range(1, t + 1)
-        )
+    m = ctx.n // t
+    plus = t * sum(
+        alpha(j, m) * _orbits(ctx, t, r, j)
+        for j in e_set(m)
+        for r in range(1, t + 1)
+    )
     zero = m * count_M(ctx, t) - plus
     return plus, zero
 

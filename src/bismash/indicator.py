@@ -166,11 +166,9 @@ def indicator_table(
     ``reps`` holds the canonical orbit representatives as residue-word
     rows and ``values[k, i]`` is the indicator of the module
     (reps[k], t, i), so each entry stands for len(reps) * n/t modules.
-    Representatives are generated by stabilizer-constrained construction
-    rather than a scan of all (n-1)! permutations, and evaluated with the
-    array form of the congruence route; the workload guard of the
-    enumeration layer applies.  Rows are sorted lexicographically, which
-    is the order of their one-line forms since column 0 is always 0.
+    Representatives come from the seeded strata of ``bulk`` under its
+    workload guard, sorted lexicographically (the order of their one-line
+    forms, column 0 being 0), and the array congruence route evaluates them.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -178,8 +176,7 @@ def indicator_table(
         raise ValueError(f"t={filter_t} does not divide n={n}")
     table = []
     for t in [filter_t] if filter_t is not None else divisors(n):
-        X = bulk.exact_stabilizer_rows(n, t, max_work)
-        reps = X[bulk.canonical_orders(X) == t]
+        reps = bulk.orbit_rep_rows(n, t, max_work)
         reps = reps[np.lexsort(reps.T[::-1])]
         table.append((t, reps, bulk.reduced_indicator_rows(reps, t)))
     return table
@@ -192,7 +189,5 @@ def tally_indicators(
     module counts once per orbit member, i.e. with multiplicity t, since
     the census bookkeeping is per (permutation, character) pair while a
     table row stands for a whole orbit."""
-    return {
-        v: sum(t * int((values == v).sum()) for t, _reps, values in table)
-        for v in (1, -1, 0)
-    }
+    tallies = [bulk._tally(values, t) for t, _reps, values in table]
+    return {v: sum(tally[v] for tally in tallies) for v in (1, -1, 0)}

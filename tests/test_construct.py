@@ -1,5 +1,7 @@
 import math
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -14,6 +16,7 @@ from bismash.construct import (
     enumerate_stabilized,
     extract_seed,
 )
+from bismash.counting import e_set, k_set
 from bismash.matched_pair import divisors, stabilizer
 from bismash.perm import Permutation, from_cycles, is_involution
 
@@ -119,6 +122,72 @@ def test_stabilized_superset():
                 finer |= {x.word for x in enumerate_exact_stabilizer(n, s)}
             exact = {x.word for x in enumerate_exact_stabilizer(n, t)}
             assert exact == coarse - finer
+
+
+def _involution_words(k):
+    # Involutions of {1..k} as words fixing 0, in lexicographic order: all
+    # pairings of the points, sorted.
+    def pairings(points):
+        if not points:
+            yield {}
+            return
+        p, rest = points[0], points[1:]
+        for image in pairings(rest):
+            yield {**image, p: p}
+        for i, q in enumerate(rest):
+            for image in pairings(rest[:i] + rest[i + 1 :]):
+                yield {**image, p: q, q: p}
+
+    return sorted(
+        (0, *(image[i] for i in range(1, k + 1)))
+        for image in pairings(list(range(1, k + 1)))
+    )
+
+
+@lru_cache(maxsize=None)
+def _scalar_involutions(n, t):
+    # The reference for the involution stratum: one constrained seed at a
+    # time, in seed order, built with build_from_seed and kept when its
+    # stabilizer is exactly <a^t>.  Returns (words, candidates).
+    m = n // t
+    words, candidates = [], 0
+    for j in e_set(m):
+        for sigma_word in _involution_words(t - 1):
+            fixed = [i for i in range(1, t) if sigma_word[i] == i]
+            pairs = [(i, sigma_word[i]) for i in range(1, t) if sigma_word[i] > i]
+            choice_sets = [k_set(j, m)] * len(fixed) + [range(m)] * len(pairs)
+            for choice in product(*choice_sets):
+                candidates += 1
+                u = [0] * (t - 1)
+                for i, v in zip(fixed, choice[: len(fixed)]):
+                    u[i - 1] = v
+                for (i, i2), v in zip(pairs, choice[len(fixed) :]):
+                    u[i - 1] = v
+                    u[i2 - 1] = (-j * v) % m
+                seed = RemainderSeed(n, t, j, Permutation(sigma_word), tuple(u))
+                x = build_from_seed(seed)
+                if stabilizer(x).t == t:
+                    words.append(x.word)
+    return tuple(words), candidates
+
+
+def test_enumerate_involutions_match_scalar_seeds():
+    for n in range(2, 13):
+        for t in divisors(n):
+            want, _candidates = _scalar_involutions(n, t)
+            assert tuple(x.word for x in enumerate_involutions(n, t)) == want, (n, t)
+
+
+def test_involution_guard_at_candidate_count():
+    # The guard counts the constrained seeds before expanding any: a
+    # limit of exactly that many passes, one fewer is refused.  The
+    # degrees 120 and 121 expand into both row types.
+    for n, t in [(12, 12), (12, 6), (120, 3), (121, 1)]:
+        want, candidates = _scalar_involutions(n, t)
+        got = tuple(x.word for x in enumerate_involutions(n, t, max_work=candidates))
+        assert got == want, (n, t)
+        with pytest.raises(WorkloadExceeded):
+            list(enumerate_involutions(n, t, max_work=candidates - 1))
 
 
 def test_enumerate_involutions_worked_example():

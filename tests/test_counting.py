@@ -309,6 +309,15 @@ def test_overcount_terms_marginalize():
                     assert total == count_C(ctx, t, s, r)
 
 
+def test_overcount_is_zero_without_fixed_points():
+    # Every involution fixes the point n, so r < 1 counts nothing, as in
+    # count_R, count_X and count_O_j.
+    ctx = CountContext(12)
+    for r in (0, -2):
+        assert count_C(ctx, 6, 2, r) == 0
+        assert count_C(ctx, 6, 2, r, j_gate=1) == 0
+
+
 def _pairings(k, l):
     return math.factorial(k) // (math.factorial(k - 2 * l) * 2**l * math.factorial(l))
 

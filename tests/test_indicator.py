@@ -1,8 +1,7 @@
-import itertools
-
 import pytest
 
 from bismash.counting import CountContext, count_M
+from bismash.hopf import sym_fixing_top
 from bismash.indicator import (
     IrrepDescriptor,
     group_indicator_cn,
@@ -13,11 +12,6 @@ from bismash.indicator import (
 )
 from bismash.matched_pair import divisors, orbit, stabilizer
 from bismash.perm import Permutation, from_cycles, inverse
-
-
-def sym_fixing_top(n):
-    for images in itertools.permutations(range(1, n)):
-        yield Permutation((0, *images))
 
 
 def test_negative_indicator_witness():

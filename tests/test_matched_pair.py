@@ -1,9 +1,9 @@
-import itertools
 import math
 import random
 
 import pytest
 
+from bismash.hopf import sym_fixing_top
 from bismash.matched_pair import (
     act_left,
     act_right,
@@ -15,11 +15,6 @@ from bismash.matched_pair import (
     stabilizer,
 )
 from bismash.perm import Permutation, compose, from_cycles, inverse, is_involution
-
-
-def sym_fixing_top(n):
-    for images in itertools.permutations(range(1, n)):
-        yield Permutation((0, *images))
 
 
 def random_top_fixing(n, rng):
