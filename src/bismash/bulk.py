@@ -399,7 +399,7 @@ def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
     # A stratum's candidate count, the tower's term stabilized(ctx, t), guarded.
     if t < 1 or n % t:
         raise ValueError(f"t={t} must divide n={n}")
-    size = stabilized(CountContext(n), t)
+    size = stabilized(CountContext(n), t)[0]
     _guard(size, max_work, f"stratum (n={n}, t={t})")
     return size
 
@@ -436,8 +436,10 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     Rows come in lexicographic seed order: j ascending over the units
     mod n/t, sigma in one-line lexicographic order, u as a big-endian
     odometer -- row k is ``build_from_seed`` of the k-th seed.  The
-    number of candidates is phi(n/t) * (n/t)^(t-1) * (t-1)!; the
-    workload guard rejects strata that would not fit in memory anyway.
+    workload guard counts the phi(n/t) * (n/t)^(t-1) * (t-1)! candidates
+    and refuses more than its limit.  It does not bound memory: the rows
+    are held at once, and census_by_dimension peaks at about 105 bytes
+    per candidate (some 10 GB at the default limit of 10^8).
     """
     size, m = _stratum(n, t, _stabilized_M, max_work), n // t
     if t == n:

@@ -110,11 +110,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _output(args):
+    # The --out file, or stdout (left open).
+    return open(args.out, "w") if args.out else nullcontext(sys.stdout)
+
+
 def _emit(rows: Iterable[Sequence], columns: list[str], args) -> None:
     # Rows are sequences in column order, written as they arrive; the JSON
     # framing reproduces json.dumps(list(rows), indent=0) + "\n" byte for
     # byte, one object per row.
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+    with _output(args) as fh:
         if args.format == "json":
             encoder = json.JSONEncoder(indent=0)
             sep = "[\n"
@@ -128,7 +133,6 @@ def _emit(rows: Iterable[Sequence], columns: list[str], args) -> None:
             writer.writerows(rows)
 
 
-_IND_COLUMNS = ["n", "t", "orbit_rep", "i", "indicator"]
 _COUNT_COLUMNS = ["n", "t", "quantity", "r", "j", "i", "value"]
 _VERIFY_COLUMNS = ["check", "detail", "status"]
 
@@ -143,13 +147,26 @@ def _cmd_indicators(args) -> int:
         table = indicator_table(n, args.t, max_work=args.max_work)
     except ValueError as exc:  # the row-width limit on n
         raise _UsageError(str(exc)) from None
-    rows = (
-        (n, t, rep, i, v)
-        for t, reps, values in table
-        for rep, vals in zip(map(cycle_notation, reps.tolist()), values.tolist())
-        for i, v in enumerate(vals)
-    )
-    _emit(rows, _IND_COLUMNS, args)
+    # _emit's layout from line templates: one prefix per representative
+    # and, per t, one suffix per (i, v), listed for v = 0, 1, -1 so that v
+    # indexes them.  No CSV field needs quoting; JSON is indent=0.
+    if args.format == "json":
+        prefix = '{{\n"n": {},\n"t": {},\n"orbit_rep": "{}",\n"i": '.format
+        suffix = '{},\n"indicator": {}\n}}'.format
+        lead, sep, close, empty = "[\n", ",\n", "\n]\n", "[]\n"
+    else:
+        prefix, suffix = "{},{},{},".format, "{},{}\n".format
+        lead = empty = "n,t,orbit_rep,i,indicator\n"
+        sep = close = ""
+    with _output(args) as fh:
+        gap = lead
+        for t, reps, values in table:
+            suffixes = [[suffix(i, v) for v in (0, 1, -1)] for i in range(n // t)]
+            for rep, vals in zip(reps.tolist(), values.tolist()):
+                head = prefix(n, t, cycle_notation(rep))
+                fh.write(gap + sep.join([head + suffixes[i][v] for i, v in enumerate(vals)]))
+                gap = sep
+        fh.write(empty if gap == lead else close)
     tal = tally_indicators(table)
     print(
         f"summary n={n} t={args.t if args.t is not None else 'all'}: "
@@ -234,7 +251,10 @@ def _count_rows(args) -> list[tuple]:
 def _cmd_count(args) -> int:
     if args.n < 2:
         raise _UsageError(f"--n must be at least 2, got {args.n}")
-    rows = _count_rows(args)
+    try:
+        rows = _count_rows(args)
+    except ValueError as exc:  # an argument the tower rejects, such as --j
+        raise _UsageError(str(exc)) from None
     _emit(rows, _COUNT_COLUMNS, args)
     return EXIT_OK
 

@@ -21,8 +21,12 @@ orbit is counted once per member.
 M, T, R and C are each an "exact stabilizer" count got by one sieve,
 ``_exact``: count what a^d stabilizes, then subtract the exact counts of
 the proper divisors of d, memoized in a CountContext.  Each count only
-supplies its "stabilized by a^d" term; X and r*O_j are the top (s = t)
-of the C sieve.  All arithmetic is exact arbitrary-width integer
+supplies its "stabilized by a^d" term, as a profile: a list indexed by
+r (fixed points for R, involutions per orbit for C), filled only at
+r = blocks * beta for each j and number of fixed-point blocks.  The
+sieve subtracts profiles entry by entry, so one pass per (quantity, d)
+answers every r; M and T are one-entry profiles.  X and r*O_j are the
+top (s = t) of the C sieve.  All arithmetic is exact arbitrary-width integer
 arithmetic ((n-1)! overflows 64 bits already at n = 22).  The residue
 sets depend on (j, m) alone and are cached for the process; everything
 that depends on n stays in the per-degree CountContext.
@@ -210,8 +214,8 @@ def delta_bar(u: int, j: int, m: int) -> int:
 @dataclass
 class CountContext:
     """Degree plus the memo store of the divisor-lattice sieve (every
-    exact count, keyed by its stabilized-count term) and of count_C's
-    shift counts.
+    exact profile, keyed by its stabilized term and arguments) and of
+    count_C's shift counts.
 
     Memoized values are written once and never mutated; use one context
     per thread, or share a finished one freely.
@@ -242,18 +246,18 @@ def _check_t(ctx: CountContext, t: int) -> None:
         raise ValueError(f"t={t} must divide n={ctx.n}")
 
 
-def _exact(ctx: CountContext, stabilized, d: int, *args) -> int:
+def _exact(ctx: CountContext, stabilized, d: int, *args) -> list[int]:
     """The one sieve of the tower: of the objects stabilized by a^d,
-    ``stabilized(ctx, d, *args)`` of them, those of stabilizer exactly
+    profiled by ``stabilized(ctx, d, *args)``, those of stabilizer exactly
     <a^d>.  Stabilized by a^d means stabilizer <a^e> for some e | d, so
-    the exact counts of the proper divisors e of d are subtracted.
-    Memoized in ctx.memo under (stabilized, d, *args)."""
+    the exact profiles of the proper divisors e of d are subtracted,
+    entry by entry.  Memoized in ctx.memo under (stabilized, d, *args)."""
     key = (stabilized, d, *args)
     value = ctx.memo.get(key)
     if value is None:
         value = stabilized(ctx, d, *args)
         for e in _proper_divisors(d):
-            value -= _exact(ctx, stabilized, e, *args)
+            value = [a - b for a, b in zip(value, _exact(ctx, stabilized, e, *args))]
         ctx.memo[key] = value
     return value
 
@@ -281,46 +285,49 @@ def _fixed_point_terms(k: int, mr: int, p: int, pc: int, base: int) -> int:
     return total
 
 
-def _stabilized_M(ctx: CountContext, d: int) -> int:
+def _stabilized_M(ctx: CountContext, d: int) -> list[int]:
     # phi(n/d) choices of x(d) times the falling product of slot choices
     # for x(1)..x(d-1).
     m = ctx.n // d
-    return euler_phi(m) * m ** (d - 1) * factorial(d - 1)
+    return [euler_phi(m) * m ** (d - 1) * factorial(d - 1)]
 
 
 def count_M(ctx: CountContext, t: int) -> int:
     """|M_{n/t}|: permutations fixing n with stabilizer exactly <a^t>."""
     _check_t(ctx, t)
-    return _exact(ctx, _stabilized_M, t)
+    return _exact(ctx, _stabilized_M, t)[0]
 
 
-def _stabilized_T(ctx: CountContext, d: int) -> int:
+def _stabilized_T(ctx: CountContext, d: int) -> list[int]:
     # Square roots j of 1 mod n/d times remainder involutions with l
     # transpositions: fixed remainder points take alpha shifts each,
     # transposed pairs a free residue each.
     m = ctx.n // d
-    return sum(
-        alpha(j, m) ** (d - 1 - 2 * l) * m**l * _pairings(d - 1, l)
-        for j in e_set(m)
-        for l in range((d - 1) // 2 + 1)
-    )
+    return [
+        sum(
+            alpha(j, m) ** (d - 1 - 2 * l) * m**l * _pairings(d - 1, l)
+            for j in e_set(m)
+            for l in range((d - 1) // 2 + 1)
+        )
+    ]
 
 
 def count_T(ctx: CountContext, t: int) -> int:
     """|T_{n/t}|: involutions with stabilizer exactly <a^t>."""
     _check_t(ctx, t)
-    return _exact(ctx, _stabilized_T, t)
+    return _exact(ctx, _stabilized_T, t)[0]
 
 
-def _stabilized_R(ctx: CountContext, d: int, r: int) -> int:
+def _stabilized_R(ctx: CountContext, d: int) -> list[int]:
+    # Indexed by r = 0..n: the mr blocks of fixed points of a remainder
+    # with x(d) = j*d give r = mr * beta(j, n/d) fixed points.
     m = ctx.n // d
-    return sum(
-        _fixed_point_terms(
-            d, m_ratio(j, m, r), len(p_set(j, m)), len(p_c_set(j, m)), m
-        )
-        for j in e_set(m)
-        if delta_exists(j, m, r, d)
-    )
+    out = [0] * (ctx.n + 1)
+    for j in e_set(m):
+        b, p, pc = beta(j, m), len(p_set(j, m)), len(p_c_set(j, m))
+        for mr in range(1, d + 1):
+            out[mr * b] += _fixed_point_terms(d, mr, p, pc, m)
+    return out
 
 
 def count_R(ctx: CountContext, t: int, r: int) -> int:
@@ -329,7 +336,7 @@ def count_R(ctx: CountContext, t: int, r: int) -> int:
     _check_t(ctx, t)
     if r < 1 or r > ctx.n or (ctx.n - r) % 2:
         return 0
-    return _exact(ctx, _stabilized_R, t, r)
+    return _exact(ctx, _stabilized_R, t)[r]
 
 
 def _coupled_shift_count(
@@ -375,17 +382,18 @@ def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
     return ctx.memo[key]
 
 
-def _stabilized_C(ctx: CountContext, s: int, t: int, r: int, j_gate: int | None) -> int:
+def _stabilized_C(ctx: CountContext, s: int, t: int, j_gate: int | None) -> list[int]:
+    # Indexed by r = 0..t: mr fixed-point blocks of the degree-s remainder
+    # with sigma(s) = j_sigma * s give r = mr * beta(j_sigma, t/s).
     ts, ns, nt = t // s, ctx.n // s, ctx.n // t
-    total = 0
+    out = [0] * (t + 1)
     for j_sigma in e_set(ts):
-        if not delta_exists(j_sigma, ts, r, s):
-            continue
-        mr = m_ratio(j_sigma, ts, r)
+        b = beta(j_sigma, ts)
         for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
             if j_gate is None or (j_prime - j_gate) % nt == 0:
-                total += _fixed_point_terms(s, mr, in_p, in_pc, ns)
-    return total
+                for mr in range(1, s + 1):
+                    out[mr * b] += _fixed_point_terms(s, mr, in_p, in_pc, ns)
+    return out
 
 
 def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None) -> int:
@@ -400,9 +408,9 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
     _check_t(ctx, t)
     if s < 1 or t % s or s == t:
         raise ValueError(f"s={s} must be a proper divisor of t={t}")
-    if r < 1:
+    if r < 1 or r > t:
         return 0
-    return _exact(ctx, _stabilized_C, s, t, r, j_gate)
+    return _exact(ctx, _stabilized_C, s, t, j_gate)[r]
 
 
 def count_X(ctx: CountContext, t: int, r: int) -> int:
@@ -417,7 +425,7 @@ def count_X(ctx: CountContext, t: int, r: int) -> int:
     _check_t(ctx, t)
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    return _exact(ctx, _stabilized_C, t, t, r, None)
+    return _exact(ctx, _stabilized_C, t, t, None)[r]
 
 
 def count_O(ctx: CountContext, t: int, r: int) -> int:
@@ -452,7 +460,7 @@ def _orbits(ctx: CountContext, t: int, r: int, j_gate: int | None) -> int:
     # X_{n/t,r} without a gate.
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    total = _exact(ctx, _stabilized_C, t, t, r, j_gate)
+    total = _exact(ctx, _stabilized_C, t, t, j_gate)[r]
     if total % r:
         raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
     return total // r

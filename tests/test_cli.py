@@ -137,6 +137,33 @@ def test_csv_json_equivalence(tmp_path, capsys):
     assert out_csv == "n,t,orbit_rep,i,indicator\n"
 
 
+def test_indicator_tables_byte_for_byte(tmp_path, capsys):
+    # JSON stdout is json.dumps(rows, indent=0) of the typed CSV rows, and
+    # --out writes exactly the stdout bytes, in both formats.  --n 10 is
+    # the all-t case (t = n included); --n 12 would write about 130 MB.
+    for argv in (
+        ("indicators", "--n", "10"),
+        ("indicators", "--n", "12", "--t", "2"),
+        ("indicators", "--n", "24", "--t", "6"),
+        ("indicators", "--n", "4", "--t", "2"),
+    ):
+        outs = {}
+        for fmt in ("csv", "json"):
+            code, outs[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+            target = tmp_path / f"table.{fmt}"
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert code == 0 and out == ""
+            assert target.read_bytes() == outs[fmt].encode(), (argv, fmt)
+        lines = csv.reader(io.StringIO(outs["csv"]))
+        assert next(lines) == ["n", "t", "orbit_rep", "i", "indicator"]
+        rows = [
+            {"n": int(n), "t": int(t), "orbit_rep": rep, "i": int(i), "indicator": int(v)}
+            for n, t, rep, i, v in lines
+        ]
+        assert outs["json"] == json.dumps(rows, indent=0) + "\n", argv
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "indicators", "--n", "10", "--t", "2")
     _, out2, _ = run_cli(capsys, "indicators", "--n", "10", "--t", "2")
@@ -186,6 +213,16 @@ def test_bad_max_work_env_is_usage_error(capsys, monkeypatch):
 def test_unknown_quantity_rejected(capsys):
     code, _out, _err = run_cli(capsys, "count", "--n", "8", "--quantity", "Z")
     assert code == 1
+
+
+def test_count_rejects_bad_j_in_one_line(capsys):
+    # 2 is not a square root of 1 mod 12/3 = 4.
+    code, out, err = run_cli(
+        capsys, "count", "--n", "12", "--quantity", "Oj", "--t", "3", "--j", "2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "j=2" in err
 
 
 def _run_alone(*argv):

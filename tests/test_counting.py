@@ -318,6 +318,51 @@ def test_overcount_is_zero_without_fixed_points():
         assert count_C(ctx, 6, 2, r, j_gate=1) == 0
 
 
+def test_out_of_range_r_reads_zero():
+    # r below 1 or past the top of a profile reads 0: no negative index
+    # wraps around, and no index runs past the list.  count_O(t, 0) is
+    # the orbits without involutions, so count_O is read at r < 0 only.
+    for n in (12, 24, 36):
+        ctx = CountContext(n)
+        for t in divisors(n):
+            low, high = (-2, -1, 0), (t + 1, t + 2, 2 * t + 1)
+            for r in low + (n + 1, n + 2):
+                assert count_R(ctx, t, r) == 0, (n, t, r)
+            for r in low + high:
+                assert count_X(ctx, t, r) == 0, (n, t, r)
+                assert r == 0 or count_O(ctx, t, r) == 0, (n, t, r)
+                for s in divisors(t)[:-1]:
+                    assert count_C(ctx, t, s, r) == 0, (n, t, s, r)
+                    for j in e_set(n // t):
+                        assert count_C(ctx, t, s, r, j_gate=j) == 0, (n, t, s, r, j)
+                if 1 < t < n:
+                    for j in e_set(n // t):
+                        assert count_O_j(ctx, t, r, j) == 0, (n, t, r, j)
+
+
+def test_tower_identities_through_queries_range():
+    # Past n = 13 there is no enumeration oracle; the tower must still
+    # partition its own totals, and the profiles the parity checks skip
+    # must hold zeros only.
+    from bismash.counting import _exact, _stabilized_C, _stabilized_R
+
+    for n in range(2, 151):
+        ctx = CountContext(n)
+        for t in divisors(n):
+            t_count = count_T(ctx, t)
+            assert sum(count_R(ctx, t, r) for r in range(1, n + 1)) == t_count
+            assert sum(count_X(ctx, t, r) for r in range(1, t + 1)) == t_count
+            if 1 < t < n:
+                for r in range(1, t + 1):
+                    per_j = sum(count_O_j(ctx, t, r, j) for j in e_set(n // t))
+                    assert per_j == count_O(ctx, t, r), (n, t, r)
+            fixed = _exact(ctx, _stabilized_R, t)
+            assert all(fixed[r] == 0 for r in range(n + 1) if (n - r) % 2), (n, t)
+            for gate in (None, *e_set(n // t)):
+                top = _exact(ctx, _stabilized_C, t, t, gate)
+                assert all(top[r] == 0 for r in range(t + 1) if (t - r) % 2), (n, t)
+
+
 def _pairings(k, l):
     return math.factorial(k) // (math.factorial(k - 2 * l) * 2**l * math.factorial(l))
 
