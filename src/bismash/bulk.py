@@ -12,8 +12,10 @@ x <| a^l, and evaluates both routes chunk by chunk, so its memory is
 bounded by the chunk size.  The seeded strata -- the rows stabilized by
 a^t, those of stabilizer exactly <a^t>, and the involution stratum among
 them -- come from one block expander over (j, sigma, u) seeds once the
-workload guard has passed their candidate count, and one representative
-filter keeps the smallest member of each orbit.
+workload guard has passed their candidate count.  One representative
+filter keeps the smallest member of each orbit of order t straight from
+the a^t-stabilized rows: the shift scan that finds it also reads off its
+exact stabilizer order, so no exactness pass precedes it.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
 comparison that reads column 1 first and compares whole rows on ties.
@@ -438,8 +440,9 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     odometer -- row k is ``build_from_seed`` of the k-th seed.  The
     workload guard counts the phi(n/t) * (n/t)^(t-1) * (t-1)! candidates
     and refuses more than its limit.  It does not bound memory: the rows
-    are held at once, and census_by_dimension peaks at about 105 bytes
-    per candidate (some 10 GB at the default limit of 10^8).
+    are held at once, and census_by_dimension peaks at about 80 bytes
+    per candidate (1228 MB for the 15.7M candidates of (48, 6); some
+    8 GB at the default limit of 10^8).
     """
     size, m = _stratum(n, t, _stabilized_M, max_work), n // t
     if t == n:
@@ -487,8 +490,13 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
 
 def orbit_rep_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """The canonical (lexicographically smallest) member of every orbit of
-    stabilizer order t, in the seed order of ``exact_stabilizer_rows``."""
-    X = exact_stabilizer_rows(n, t, max_work)
+    stabilizer order t, in the seed order of ``stabilized_rows``.
+
+    No exactness pass is needed: on an a^t-stabilized row of exact order
+    s | t the scan of ``canonical_orders`` returns s or 0, never t when
+    s < t, so its value t picks the canonical rows of exact order t.
+    """
+    X = stabilized_rows(n, t, max_work)
     return X[canonical_orders(X) == t]
 
 

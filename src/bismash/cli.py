@@ -111,8 +111,14 @@ def _build_parser() -> _Parser:
 
 
 def _output(args):
-    # The --out file, or stdout (left open).
-    return open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    # The --out file, or stdout (left open).  A file that cannot be opened
+    # is a usage error.
+    if not args.out:
+        return nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {args.out}: {exc.strerror or exc}") from None
 
 
 def _emit(rows: Iterable[Sequence], columns: list[str], args) -> None:
@@ -212,7 +218,9 @@ def _count_rows(args) -> list[tuple]:
     elif q == "Oj":
         for t in ts:
             if not 1 < t < n:
-                raise _UsageError(f"Oj needs 1 < t < n, got t={t}")
+                if args.t is not None:
+                    raise _UsageError(f"Oj needs 1 < t < n, got t={t}")
+                continue
             js = [args.j] if args.j is not None else list(e_set(n // t))
             rs = [args.r] if args.r is not None else list(range(1, t + 1))
             for j in js:

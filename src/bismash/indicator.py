@@ -18,9 +18,10 @@ Two independent evaluation routes are provided:
 ``indicator_bruteforce``
     The oracle.  It evaluates the averaged character sum
 
-        (1/n) sum_{y in orbit} sum_{b : y^{-1} <| a^b = y} chi(a^{y(b)+b})
+        (1/n) sum_{y in orbit} sum_{b : y^{-1} <| a^b = y} chi(a^{y^{-1}(b)+b})
 
-    literally, scanning all of C_n for transporters and accumulating
+    literally, reading each member's transporters from the scan of all
+    of C_n in ``matched_pair.inv_transporter_set`` and accumulating
     exact roots of unity, then reducing the sum to an integer.
 
 The two must agree on every module; the test suite proves it
@@ -36,8 +37,8 @@ import numpy as np
 from . import bulk
 from .cyclotomic import CyclotomicAccumulator
 from .matched_pair import (
-    act_left,
     divisors,
+    inv_transporter_set,
     inversion_data,
     orbit,
     stabilizer,
@@ -121,27 +122,27 @@ def indicator_reduced(d: IrrepDescriptor) -> int:
 def indicator_bruteforce(d: IrrepDescriptor) -> int:
     """Indicator via the literal averaged character sum (the oracle).
 
-    For each orbit member y, every b in {0..n-1} is tested for
-    y^{-1} <| a^b = y; a matching b contributes chi_i(a^{y^{-1}(b)+b}),
+    For each orbit member y, its transporters -- the b in {0..n-1} with
+    y^{-1} <| a^b = y -- are read from the definition-level scan
+    ``inv_transporter_set``; each contributes chi_i(a^{y^{-1}(b)+b}),
     which is zeta^{i e / t} when t divides the exponent e and 0
     otherwise.  The accumulated sum, divided by n, must land in
     {-1, 0, +1}.
     """
     x = d.orbit_rep
     n = x.n
-    t = stabilizer(x).t
+    members = orbit(x).members
+    t = len(members)
     if t != d.t:
         raise ValueError(f"descriptor t={d.t} but stabilizer order is {t}")
     m = n // t
     acc = CyclotomicAccumulator(m)
-    for y in orbit(x).members:
-        yi = inverse(y)
-        yi_word = yi.word
-        for b in range(n):
-            if act_left(yi, b) == y:
-                e = (yi_word[b] + b) % n
-                if e % t == 0:
-                    acc.add(d.i * (e // t))
+    for y in members:
+        yi_word = inverse(y).word
+        for b in inv_transporter_set(y):
+            e = (yi_word[b] + b) % n
+            if e % t == 0:
+                acc.add(d.i * (e // t))
     total = acc.value() / n
     if total.denominator != 1 or total not in (-1, 0, 1):
         raise ArithmeticError(f"indicator sum {total} is not in {{-1, 0, 1}}")

@@ -149,8 +149,8 @@ def orbit(x: Permutation) -> Orbit:
     """The orbit {x <| a^l : l = 1..t}, of size exactly t."""
     t = _stabilizer_order(x.word)
     members = tuple(act_left(x, l) for l in range(1, t + 1))
-    rep = min(members, key=lambda y: y.one_line())
-    return Orbit(members, rep)
+    # Every member fixes n, so residue-word order is one-line order.
+    return Orbit(members, min(members, key=lambda y: y.word))
 
 
 def inversion_data(x: Permutation) -> InversionData:

@@ -170,6 +170,9 @@ def test_seeded_rows_match_census():
             values = bulk.canonical_orders(X)
             assert set(values.tolist()) <= {0, t}
             assert int((values == t).sum()) * t == len(X)
+            # The representative path, read straight off the a^t-stabilized
+            # rows, keeps the same rows in the same order.
+            assert np.array_equal(bulk.orbit_rep_rows(n, t), X[values == t])
 
 
 def test_seeded_rows_workload_guard():

@@ -180,6 +180,43 @@ def test_out_file(tmp_path, capsys):
     assert {int(r["t"]): int(r["value"]) for r in rows} == {1: 2, 2: 2, 3: 4, 6: 18}
 
 
+def test_unopenable_out_is_usage_error(tmp_path, capsys):
+    # A path under a missing directory, and a path that is a directory.
+    for target in (tmp_path / "missing" / "rows.csv", tmp_path):
+        for argv in (
+            ("count", "--n", "6", "--quantity", "M"),
+            ("indicators", "--n", "6"),
+            ("verify", "--n", "3"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--out", str(target))
+            assert code == 1 and out == "", argv
+            assert err.startswith("usage error:") and err.count("\n") == 1, argv
+            assert str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_count_Oj_default_skips_t_outside_range(capsys):
+    # Without --t, Oj runs over the t | n with 1 < t < n, in order.
+    code, out, _err = run_cli(capsys, "count", "--n", "12", "--quantity", "Oj")
+    assert code == 0
+    rows = parse_csv(out)
+    want = []
+    for t in ("2", "3", "4", "6"):
+        code, out_t, _err = run_cli(
+            capsys, "count", "--n", "12", "--quantity", "Oj", "--t", t
+        )
+        assert code == 0
+        want += parse_csv(out_t)
+    assert rows == want and rows
+    code, out, _err = run_cli(capsys, "count", "--n", "7", "--quantity", "Oj")
+    assert code == 0 and out == "n,t,quantity,r,j,i,value\n"
+    for t in ("1", "12"):
+        code, out, err = run_cli(
+            capsys, "count", "--n", "12", "--quantity", "Oj", "--t", t
+        )
+        assert code == 1 and out == "" and err.startswith("usage error:")
+
+
 def test_verify_small_degree(capsys):
     code, out, _err = run_cli(capsys, "verify", "--n", "6")
     assert code == 0
