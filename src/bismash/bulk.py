@@ -22,8 +22,9 @@ comparison that reads column 1 first and compares whole rows on ties.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, so each
 (member, shift) pair is compared on a few columns of x and x^{-1} and
-only the pairs that match there are compared in full.  The involution
-test reads y(y(u)) = u column by column the same way.  Nothing here is
+only the pairs that match there are compared in full.  The same scan
+finds the involutions: a member y is one exactly when y^{-1} <| a^0 = y,
+that is, when its transporter set contains b = 0.  Nothing here is
 approximate: the work is integer array arithmetic, and the brute-force
 route reduces its root-of-unity sums through the same integer
 cyclotomic basis matrices as the scalar oracle.
@@ -60,6 +61,7 @@ __all__ = [
     "inverse_rows",
     "inversion_rows",
     "reduced_indicator_rows",
+    "transporter_classes",
     "bruteforce_indicator_rows",
     "stabilized_rows",
     "exact_stabilizer_rows",
@@ -76,12 +78,16 @@ class WorkloadExceeded(RuntimeError):
 
 
 def default_max_work() -> int:
-    """The workload guard's limit: $BISMASH_MAX_WORK if set, else 10**8."""
+    """The workload guard's limit: $BISMASH_MAX_WORK if set, else 10**8.
+    Raises ValueError unless the variable is a non-negative integer."""
     env = os.environ.get("BISMASH_MAX_WORK")
     try:
-        return int(env) if env else 10**8
+        limit = int(env) if env else 10**8
+        if limit >= 0:
+            return limit
     except ValueError:
-        raise ValueError(f"BISMASH_MAX_WORK must be an integer, got {env!r}") from None
+        pass
+    raise ValueError(f"BISMASH_MAX_WORK must be a non-negative integer, got {env!r}")
 
 
 def _dtype(n: int):
@@ -208,38 +214,6 @@ def inverse_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _involution_members(X: np.ndarray, t: int):
-    # (row, fixed) for every involution member y = x <| a^l, l = 1..t:
-    # the row index into X and the number of fixed points of y (column 0,
-    # the top point, included).  y(u) = x(u + l) - x(l), so y(y(u)) = u
-    # is read by two gathers per row; u = 1 is tested on every row, and
-    # each further u only on the rows that passed the ones before.
-    n = X.shape[1]
-    flat = X.ravel()
-    idn = np.arange(n)
-    base = np.arange(0, len(X) * n, n)
-    rows, fixed = [], []
-    for l in range(1, t + 1):
-        xl = X[:, l % n].astype(np.intp)
-        y1 = (X[:, (l + 1) % n] - xl) % n
-        idx = np.flatnonzero((flat[base + (y1 + l) % n] - xl) % n == 1)
-        at, xl = base[idx], xl[idx]
-        for u in range(2, n):
-            yu = (flat[at + (u + l) % n] - xl) % n
-            ok = (flat[at + (yu + l) % n] - xl) % n == u
-            idx, at, xl = idx[ok], at[ok], xl[ok]
-        rows.append(idx)
-        fixed.append((shift_rows(X[idx], l) == idn).sum(axis=1))
-    return np.concatenate(rows), np.concatenate(fixed)
-
-
-def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
-    """Per-row count of involutions among the t orbit members, each
-    member y = x <| a^l tested for y*y = id column by column."""
-    rows, _fixed = _involution_members(X, t)
-    return np.bincount(rows, minlength=len(X)).astype(np.int16)
-
-
 def inversion_rows(X: np.ndarray, t: int):
     """(in_orbit, s, u1, u2) per row; all rows must have stabilizer order t.
 
@@ -297,21 +271,29 @@ def _difference_codes(A: np.ndarray, n: int, dtype) -> np.ndarray:
     return code
 
 
-def _transporter_classes(X: np.ndarray, t: int) -> np.ndarray:
-    # (N, n/t) tallies of the exponent classes e/t over all transporters
-    # (l, b): y^{-1} <| a^b = y for the member y = x <| a^l.  With
-    # y^{-1}(v) = x^{-1}(v + x(l)) - l and c = b + x(l) the test reads
-    # x^{-1} <| a^c = x <| a^l, with exponent e = x^{-1}(c) - l + b, so one
-    # inverse per row serves every member.  Columns 1.._KEY_COLS of both
-    # sides are the consecutive differences of x^{-1} from c and of x
-    # from l.  Every (l, c) is compared on codes of those columns, and the
-    # pairs that match there are compared on the remaining columns one by
-    # one.
+def transporter_classes(X: np.ndarray, t: int):
+    """(counts, rows, ls): every transporter of every orbit member, found
+    in one scan.
+
+    A transporter of the member y = x <| a^l, l = 1..t, is a b with
+    y^{-1} <| a^b = y.  ``counts`` is the (N, n/t) tally, per row, of the
+    exponent classes e/t over all pairs (l, b).  ``rows`` and ``ls`` list
+    the members whose transporter set contains b = 0, that is, the
+    involutions y^{-1} = y: at most t per row.
+
+    With y^{-1}(v) = x^{-1}(v + x(l)) - l and c = b + x(l) the test reads
+    x^{-1} <| a^c = x <| a^l, with exponent e = x^{-1}(c) - l + b, so one
+    inverse per row serves every member.  Columns 1.._KEY_COLS of both
+    sides are the consecutive differences of x^{-1} from c and of x from
+    l.  Every (l, c) is compared on codes of those columns, and the pairs
+    that match there are compared on the remaining columns one by one.
+    """
     n = X.shape[1]
     m = n // t
     Xi = inverse_rows(X)
     kt = np.min_scalar_type(-(n**_KEY_COLS))
     counts = np.zeros((len(X), m), dtype=np.intp)
+    inv_rows, inv_ls = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for lo in range(0, len(X), _BLOCK):
         A, Ai = X[lo : lo + _BLOCK], Xi[lo : lo + _BLOCK]
         key = _difference_codes(Ai, n, kt)
@@ -327,26 +309,21 @@ def _transporter_classes(X: np.ndarray, t: int) -> np.ndarray:
         for u in range(_KEY_COLS + 1, n):
             ok = (iflat[base + (c + u) % n] - xic) % n == (xflat[base + (l + u) % n] - xl) % n
             r, l, c, base, xl, xic = r[ok], l[ok], c[ok], base[ok], xl[ok], xic[ok]
+        inv = c == xl  # b = c - x(l) = 0: y^{-1} = y
+        inv_rows.append(lo + r[inv])
+        inv_ls.append(l[inv])
         e = (xic - l + c - xl) % n
         ok = e % t == 0
         tally = np.bincount(r[ok] * m + (e[ok] // t) % m, minlength=len(A) * m)
         counts[lo : lo + _BLOCK] = tally.reshape(len(A), m)
-    return counts
+    return counts, np.concatenate(inv_rows), np.concatenate(inv_ls)
 
 
-def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
-    """(N, n/t) matrix of indicators via the literal averaged character sum.
-
-    Transporters are found by scanning every power of the n-cycle for
-    every orbit member, from one inverse per row (the members' inverses
-    are column rotations of it); exponent classes are tallied and the
-    resulting root-of-unity sums reduced exactly through the integer
-    cyclotomic basis matrix.
-    """
-    n = X.shape[1]
-    m = n // t
-    N = len(X)
-    counts = _transporter_classes(X, t)
+def _class_indicators(counts: np.ndarray, n: int) -> np.ndarray:
+    # The indicators, per row and character i, from the exponent-class
+    # tallies of ``transporter_classes``: the root-of-unity sums are
+    # reduced exactly through the integer cyclotomic basis matrix.
+    N, m = counts.shape
     basis = np.array(power_basis_rows(m), dtype=np.int64)
     out = np.empty((N, m), dtype=np.int8)
     for i in range(m):
@@ -365,6 +342,25 @@ def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
             raise ArithmeticError("indicator outside {-1, 0, +1}")
         out[:, i] = v
     return out
+
+
+def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
+    """(N, n/t) matrix of indicators via the literal averaged character sum.
+
+    Transporters are found by scanning every power of the n-cycle for
+    every orbit member (``transporter_classes``); exponent classes are
+    tallied and the resulting root-of-unity sums reduced exactly through
+    the integer cyclotomic basis matrix.
+    """
+    return _class_indicators(transporter_classes(X, t)[0], X.shape[1])
+
+
+def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
+    """Per-row count of involutions among the t orbit members: the members
+    whose transporter set contains b = 0, read off ``transporter_classes``
+    (so a call pays for the whole scan, class tallies included)."""
+    _counts, rows, _ls = transporter_classes(X, t)
+    return np.bincount(rows, minlength=len(X)).astype(np.int16)
 
 
 def _guard(candidates: int, max_work: int | None, what: str) -> None:
@@ -468,6 +464,14 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
     i < sigma(i), which set u_sigma(i) = -j*u_i.
     """
     size, m = _stratum(n, t, _stabilized_T, max_work), n // t
+    if t == n:
+        # m = 1 leaves j = 0 and u = (): every involution word is a seed
+        # group of one row, the word itself, so the words are the rows.
+        words = _involution_words(tuple(range(1, n)))
+        X = np.array([[0] + [w[i] for i in range(1, n)] for w in words], dtype=_dtype(n))
+        if len(X) != size:
+            raise ArithmeticError(f"{len(X)} seeds listed for {size} candidates")
+        return _exact_rows(X, t)
 
     def seeds():
         for j in e_set(m):
@@ -551,9 +555,10 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
     for every character index, chunk by chunk: each orbit's canonical
     member lies in exactly one chunk, so memory is bounded by the chunk
     size.  Tallies use the per-(permutation, character) convention
-    (orbit rows weighted by t).  Every orbit member is tested for being
-    an involution, so the sweep also histograms, per t, the orbits by
-    their number of involutions and the involutions by their fixed points.
+    (orbit rows weighted by t).  The oracle's transporter scan also lists
+    the orbit members whose transporter set contains b = 0, the
+    involutions, so the sweep also histograms, per t, the orbits by their
+    number of involutions and the involutions by their fixed points.
     """
     total = math.factorial(n - 1)
     res = SweepResult(n=n, permutations=total)
@@ -575,14 +580,14 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
                 continue
             res.orbit_counts[t] += len(reps)
             red = reduced_indicator_rows(reps, t)
-            bru = bruteforce_indicator_rows(reps, t)
-            res.mismatches += int((red != bru).sum())
+            classes, rows, ls = transporter_classes(reps, t)
+            res.mismatches += int((red != _class_indicators(classes, n)).sum())
             for v, c in _tally(red, t).items():
                 res.tallies[t][v] += c
-            rows, fixed = _involution_members(reps, t)
-            counts = np.bincount(rows, minlength=len(reps))
-            _add_histogram(res.orbit_involutions[t], counts)
-            _add_histogram(res.involution_fixed_points[t], fixed)
+            _add_histogram(res.orbit_involutions[t], np.bincount(rows, minlength=len(reps)))
+            for l in range(1, t + 1):
+                fixed = (shift_rows(reps[rows[ls == l]], l) == np.arange(n)).sum(axis=1)
+                _add_histogram(res.involution_fixed_points[t], fixed)
     return res
 
 

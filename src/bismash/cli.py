@@ -121,22 +121,21 @@ def _output(args):
         raise _UsageError(f"cannot open --out {args.out}: {exc.strerror or exc}") from None
 
 
-def _emit(rows: Iterable[Sequence], columns: list[str], args) -> None:
+def _emit(fh, rows: Iterable[Sequence], columns: list[str], fmt: str) -> None:
     # Rows are sequences in column order, written as they arrive; the JSON
     # framing reproduces json.dumps(list(rows), indent=0) + "\n" byte for
     # byte, one object per row.
-    with _output(args) as fh:
-        if args.format == "json":
-            encoder = json.JSONEncoder(indent=0)
-            sep = "[\n"
-            for row in rows:
-                fh.write(sep + encoder.encode(dict(zip(columns, row))))
-                sep = ",\n"
-            fh.write("[]\n" if sep == "[\n" else "\n]\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
+    if fmt == "json":
+        encoder = json.JSONEncoder(indent=0)
+        sep = "[\n"
+        for row in rows:
+            fh.write(sep + encoder.encode(dict(zip(columns, row))))
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+    else:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 _COUNT_COLUMNS = ["n", "t", "quantity", "r", "j", "i", "value"]
@@ -149,22 +148,22 @@ def _cmd_indicators(args) -> int:
         raise _UsageError(f"--n must be at least 2, got {n}")
     if args.t is not None and (args.t < 1 or n % args.t):
         raise _UsageError(f"--t must divide n={n}")
-    try:
-        table = indicator_table(n, args.t, max_work=args.max_work)
-    except ValueError as exc:  # the row-width limit on n
-        raise _UsageError(str(exc)) from None
-    # _emit's layout from line templates: one prefix per representative
-    # and, per t, one suffix per (i, v), listed for v = 0, 1, -1 so that v
-    # indexes them.  No CSV field needs quoting; JSON is indent=0.
-    if args.format == "json":
-        prefix = '{{\n"n": {},\n"t": {},\n"orbit_rep": "{}",\n"i": '.format
-        suffix = '{},\n"indicator": {}\n}}'.format
-        lead, sep, close, empty = "[\n", ",\n", "\n]\n", "[]\n"
-    else:
-        prefix, suffix = "{},{},{},".format, "{},{}\n".format
-        lead = empty = "n,t,orbit_rep,i,indicator\n"
-        sep = close = ""
     with _output(args) as fh:
+        try:
+            table = indicator_table(n, args.t, max_work=args.max_work)
+        except ValueError as exc:  # the row-width limit on n
+            raise _UsageError(str(exc)) from None
+        # _emit's layout from line templates: one prefix per representative
+        # and, per t, one suffix per (i, v), listed for v = 0, 1, -1 so that
+        # v indexes them.  No CSV field needs quoting; JSON is indent=0.
+        if args.format == "json":
+            prefix = '{{\n"n": {},\n"t": {},\n"orbit_rep": "{}",\n"i": '.format
+            suffix = '{},\n"indicator": {}\n}}'.format
+            lead, sep, close, empty = "[\n", ",\n", "\n]\n", "[]\n"
+        else:
+            prefix, suffix = "{},{},{},".format, "{},{}\n".format
+            lead = empty = "n,t,orbit_rep,i,indicator\n"
+            sep = close = ""
         gap = lead
         for t, reps, values in table:
             suffixes = [[suffix(i, v) for v in (0, 1, -1)] for i in range(n // t)]
@@ -263,7 +262,8 @@ def _cmd_count(args) -> int:
         rows = _count_rows(args)
     except ValueError as exc:  # an argument the tower rejects, such as --j
         raise _UsageError(str(exc)) from None
-    _emit(rows, _COUNT_COLUMNS, args)
+    with _output(args) as fh:
+        _emit(fh, rows, _COUNT_COLUMNS, args.format)
     return EXIT_OK
 
 
@@ -271,7 +271,17 @@ def _cmd_verify(args) -> int:
     n = args.n
     if n < 2:
         raise _UsageError(f"--n must be at least 2, got {n}")
-    bulk._guard(math.factorial(n - 1), args.max_work, f"sweep of S_{n - 1}")
+    with _output(args) as fh:
+        rows = _verify_rows(n, args.max_work)
+        _emit(fh, rows, _VERIFY_COLUMNS, args.format)
+    failed = [(check, detail) for check, detail, status in rows if status == "FAIL"]
+    for check, detail in failed:
+        print(f"mismatch: {check}: {detail}", file=sys.stderr)
+    return EXIT_MISMATCH if failed else EXIT_OK
+
+
+def _verify_rows(n: int, max_work: int) -> list[tuple]:
+    bulk._guard(math.factorial(n - 1), max_work, f"sweep of S_{n - 1}")
     rows: list[tuple] = []
 
     def report(check: str, ok: bool, detail: str) -> None:
@@ -324,12 +334,7 @@ def _cmd_verify(args) -> int:
         tal = res.tallies[2]
         ok = (tal[1], tal[-1], tal[0]) == (plus, minus, zero)
         report("I_t2", ok, f"{n} -> ({plus},{minus},{zero})")
-
-    _emit(rows, _VERIFY_COLUMNS, args)
-    failed = [(check, detail) for check, detail, status in rows if status == "FAIL"]
-    for check, detail in failed:
-        print(f"mismatch: {check}: {detail}", file=sys.stderr)
-    return EXIT_MISMATCH if failed else EXIT_OK
+    return rows
 
 
 _parser: _Parser | None = None
@@ -350,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
                     args.max_work = default_max_work()
                 except ValueError as exc:
                     raise _UsageError(str(exc)) from None
+            elif args.max_work < 0:
+                raise _UsageError(f"--max-work must be non-negative, got {args.max_work}")
             if args.command == "indicators":
                 code = _cmd_indicators(args)
             else:

@@ -194,6 +194,25 @@ def test_orbit_rep_mask_and_involution_counts():
             assert int((counts == r).sum()) == count_O(ctx, t, r)
 
 
+def test_transporter_scan_lists_involution_members(monkeypatch):
+    # The members whose transporter set contains b = 0 are exactly the
+    # y = x <| a^l with y^{-1} = y, compared in full; a small block size
+    # makes the scan's row offsets cross block boundaries.
+    monkeypatch.setattr(bulk, "_BLOCK", 97)
+    for n in (8, 9, 10):
+        for t in divisors(n):
+            reps = bulk.orbit_rep_rows(n, t)
+            counts, rows, ls = bulk.transporter_classes(reps, t)
+            want = set()
+            for l in range(1, t + 1):
+                Y = bulk.shift_rows(reps, l)
+                hit = np.flatnonzero((bulk.inverse_rows(Y) == Y).all(axis=1))
+                want |= {(r, l) for r in hit.tolist()}
+            assert len(rows) == len(want)
+            assert set(zip(rows.tolist(), ls.tolist())) == want
+            assert counts.shape == (len(reps), n // t)
+
+
 def test_orbit_rep_mask_keeps_canonical_reps_past_degree_16():
     # A base-n packed int64 row key wraps for n >= 17; the scan must still
     # keep exactly the lexicographically smallest member of each orbit.

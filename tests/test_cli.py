@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bismash import bulk, cli
 from bismash.cli import main
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
@@ -180,7 +181,13 @@ def test_out_file(tmp_path, capsys):
     assert {int(r["t"]): int(r["value"]) for r in rows} == {1: 2, 2: 2, 3: 4, 6: 18}
 
 
-def test_unopenable_out_is_usage_error(tmp_path, capsys):
+def test_unopenable_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    # The file is opened before any work starts, as a shell's `> FILE` is.
+    def never(*args, **kwargs):
+        pytest.fail("work started before --out was opened")
+
+    monkeypatch.setattr(bulk, "sweep", never)
+    monkeypatch.setattr(cli, "indicator_table", never)
     # A path under a missing directory, and a path that is a directory.
     for target in (tmp_path / "missing" / "rows.csv", tmp_path):
         for argv in (
@@ -239,12 +246,37 @@ def test_verify_workload_guard(capsys):
 
 
 def test_bad_max_work_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BISMASH_MAX_WORK", "abc")
-    for argv in (("indicators", "--n", "6", "--t", "2"), ("verify", "--n", "4")):
-        code, out, err = run_cli(capsys, *argv)
+    for env in ("abc", "-1"):
+        monkeypatch.setenv("BISMASH_MAX_WORK", env)
+        for argv in (("indicators", "--n", "6", "--t", "2"), ("verify", "--n", "4")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("usage error:") and "BISMASH_MAX_WORK" in err
+            assert err.count("\n") == 1
+    # 0 is a valid limit, which refuses every job.
+    monkeypatch.setenv("BISMASH_MAX_WORK", "0")
+    code, _out, err = run_cli(capsys, "indicators", "--n", "6")
+    assert code == 2 and "limit 0" in err
+
+
+def test_negative_max_work_is_usage_error(capsys):
+    for argv in (("indicators", "--n", "6"), ("verify", "--n", "4")):
+        code, out, err = run_cli(capsys, *argv, "--max-work", "-1")
         assert code == 1 and out == ""
-        assert err.startswith("usage error:") and "BISMASH_MAX_WORK" in err
+        assert err.startswith("usage error:") and "--max-work" in err
         assert err.count("\n") == 1
+        code, _out, err = run_cli(capsys, *argv, "--max-work", "0")
+        assert code == 2 and "limit 0" in err
+
+
+def test_refused_job_leaves_out_empty(tmp_path, capsys):
+    # --out is opened before the guard runs, so a refused job truncates it.
+    for argv in (("indicators", "--n", "12"), ("verify", "--n", "12")):
+        target = tmp_path / "rows.csv"
+        target.write_text("stale\n")
+        code, out, err = run_cli(capsys, *argv, "--max-work", "10", "--out", str(target))
+        assert code == 2 and out == "" and "workload" in err
+        assert target.read_text() == ""
 
 
 def test_unknown_quantity_rejected(capsys):

@@ -274,6 +274,9 @@ def test_workload_guard_env_default(monkeypatch):
 def test_workload_guard_env_rejects_non_integer(monkeypatch):
     from bismash.construct import default_max_work
 
-    monkeypatch.setenv("BISMASH_MAX_WORK", "abc")
-    with pytest.raises(ValueError, match="BISMASH_MAX_WORK"):
-        default_max_work()
+    for env in ("abc", "-1"):
+        monkeypatch.setenv("BISMASH_MAX_WORK", env)
+        with pytest.raises(ValueError, match="BISMASH_MAX_WORK"):
+            default_max_work()
+    monkeypatch.setenv("BISMASH_MAX_WORK", "0")
+    assert default_max_work() == 0
