@@ -327,11 +327,8 @@ def _class_indicators(counts: np.ndarray, n: int) -> np.ndarray:
     basis = np.array(power_basis_rows(m), dtype=np.int64)
     out = np.empty((N, m), dtype=np.int8)
     for i in range(m):
-        eclass = (i * np.arange(m)) % m
-        d = np.zeros((N, m), dtype=np.int64)
-        for c in range(m):
-            d[:, eclass[c]] += counts[:, c]
-        coords = d @ basis
+        # Class c carries zeta^(i*c): gather its basis row per class.
+        coords = counts @ basis[(i * np.arange(m)) % m]
         if coords[:, 1:].any():
             raise ArithmeticError("indicator sum is not a rational integer")
         v = coords[:, 0]

@@ -1,12 +1,16 @@
 """Command-line front end: census tables, verification reports, plot data.
 
-Three subcommands:
+Three subcommands, each taking --n, --format and --out:
 
   indicators   per-module indicator rows for one degree (optionally one
                dimension), plus summary tallies on stderr
   count        rows of the counting tower: M, T, R, X, O, Oj, Iplus,
                Izero, It2, ratios
   verify       oracle-equivalence and axiom suite; exit 3 on mismatch
+
+indicators and verify enumerate under the workload guard (--max-work);
+count evaluates closed forms.  Arguments are checked before --out is
+opened; one the counting tower rejects is a usage error in its words.
 
 Data goes to stdout (or --out FILE) as CSV (RFC-4180-style quoting,
 header row) or JSON (array of objects); diagnostics go to stderr.
@@ -29,7 +33,7 @@ from contextlib import nullcontext
 from typing import Iterable, Sequence
 
 from . import bulk
-from .construct import WorkloadExceeded, default_max_work
+from .bulk import WorkloadExceeded, default_max_work
 from .counting import (
     CountContext,
     count_I_odd,
@@ -74,23 +78,25 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="bismash", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def subcommand(name: str, help: str, guarded: bool) -> argparse.ArgumentParser:
+        # The flags of every subcommand; --max-work where a guard runs.
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument(
-            "--max-work",
-            type=int,
-            default=None,
-            help="candidate cap for enumerations (default BISMASH_MAX_WORK or 1e8)",
-        )
+        if guarded:
+            sp.add_argument(
+                "--max-work",
+                type=int,
+                default=None,
+                help="candidate cap for enumerations (default BISMASH_MAX_WORK or 1e8)",
+            )
+        return sp
 
-    sp = sub.add_parser("indicators", help="indicator table for one degree")
-    sp.add_argument("--n", type=int, required=True)
+    sp = subcommand("indicators", "indicator table for one degree", guarded=True)
     sp.add_argument("--t", type=int, default=None, help="restrict to one dimension")
-    common(sp)
 
-    sp = sub.add_parser("count", help="counting-tower census rows")
-    sp.add_argument("--n", type=int, required=True)
+    sp = subcommand("count", "counting-tower census rows", guarded=False)
     sp.add_argument(
         "--quantity",
         required=True,
@@ -102,12 +108,28 @@ def _build_parser() -> _Parser:
     sp.add_argument(
         "--m-max", type=int, default=200, help="largest multiplier for ratios"
     )
-    common(sp)
 
-    sp = sub.add_parser("verify", help="oracle equivalence and axiom suite")
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
+    subcommand("verify", "oracle equivalence and axiom suite", guarded=True)
     return p
+
+
+def _check_args(args) -> None:
+    # The CLI's own argument rules, checked once, before --out is opened or
+    # any work starts.  verify has no --t, and count no --max-work.
+    n, t = args.n, getattr(args, "t", None)
+    if n < 2:
+        raise _UsageError(f"--n must be at least 2, got {n}")
+    if t is not None and (t < 1 or n % t):
+        raise _UsageError(f"--t must divide n={n}")
+    if "max_work" not in vars(args):
+        return
+    if args.max_work is None:
+        try:
+            args.max_work = default_max_work()
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    elif args.max_work < 0:
+        raise _UsageError(f"--max-work must be non-negative, got {args.max_work}")
 
 
 def _output(args):
@@ -144,10 +166,6 @@ _VERIFY_COLUMNS = ["check", "detail", "status"]
 
 def _cmd_indicators(args) -> int:
     n = args.n
-    if n < 2:
-        raise _UsageError(f"--n must be at least 2, got {n}")
-    if args.t is not None and (args.t < 1 or n % args.t):
-        raise _UsageError(f"--t must divide n={n}")
     with _output(args) as fh:
         try:
             table = indicator_table(n, args.t, max_work=args.max_work)
@@ -181,69 +199,64 @@ def _cmd_indicators(args) -> int:
     return EXIT_OK
 
 
+# The r each r-indexed count takes at (n, t), as (first, last): R counts
+# fixed points, X and Oj the involutions of an orbit, O orbits by their
+# number of involutions.  count lists these r unless --r is given, and
+# verify checks every one of them.
+_R_RANGES = {"R": (1, "n"), "X": (1, "t"), "Oj": (1, "t"), "O": (0, "t")}
+
+
+def _r_range(quantity: str, n: int, t: int) -> range:
+    first, last = _R_RANGES[quantity]
+    return range(first, (n if last == "n" else t) + 1)
+
+
 def _count_rows(args) -> list[tuple]:
-    n = args.n
+    # The tower checks its own arguments and raises ValueError.  Without
+    # --t, the rows run over the t | n that the quantity is defined for.
+    n, q = args.n, args.quantity
     ctx = CountContext(n)
-    q = args.quantity
-    ts = [args.t] if args.t is not None else divisors(n)
-    if args.t is not None and (args.t < 1 or n % args.t):
-        raise _UsageError(f"--t must divide n={n}")
+    if args.t is not None:
+        ts = [args.t]
+    elif q == "Oj":
+        ts = divisors(n)[1:-1]
+    elif q in ("Iplus", "Izero"):
+        ts = [t for t in divisors(n) if t % 2]
+    else:
+        ts = divisors(n)
     rows: list[tuple] = []
 
     def row(quantity, value, t=None, r="", j="", i=""):
         rows.append((n, t, quantity, r, j, i, value))
 
-    if q == "M":
+    def rs(t):
+        return [args.r] if args.r is not None else _r_range(q, n, t)
+
+    if q in ("M", "T"):
+        count = count_M if q == "M" else count_T
         for t in ts:
-            row("M", count_M(ctx, t), t)
-    elif q == "T":
+            row(q, count(ctx, t), t)
+    elif q in ("R", "X", "O"):
+        count = {"R": count_R, "X": count_X, "O": count_O}[q]
         for t in ts:
-            row("T", count_T(ctx, t), t)
-    elif q == "R":
-        rs = [args.r] if args.r is not None else list(range(1, n + 1))
-        for t in ts:
-            for r in rs:
-                row("R", count_R(ctx, t, r), t, r)
-    elif q == "X":
-        for t in ts:
-            rs = [args.r] if args.r is not None else list(range(1, t + 1))
-            for r in rs:
-                row("X", count_X(ctx, t, r), t, r)
-    elif q == "O":
-        for t in ts:
-            rs = [args.r] if args.r is not None else list(range(0, t + 1))
-            for r in rs:
-                row("O", count_O(ctx, t, r), t, r)
+            for r in rs(t):
+                row(q, count(ctx, t, r), t, r)
     elif q == "Oj":
         for t in ts:
-            if not 1 < t < n:
-                if args.t is not None:
-                    raise _UsageError(f"Oj needs 1 < t < n, got t={t}")
-                continue
-            js = [args.j] if args.j is not None else list(e_set(n // t))
-            rs = [args.r] if args.r is not None else list(range(1, t + 1))
-            for j in js:
-                for r in rs:
+            for j in [args.j] if args.j is not None else e_set(n // t):
+                for r in rs(t):
                     row("Oj", count_O_j(ctx, t, r, j), t, r, j)
     elif q in ("Iplus", "Izero"):
         for t in ts:
-            if t % 2 == 0:
-                if args.t is not None:
-                    raise _UsageError(f"{q} needs odd t, got t={t}")
-                continue
             plus, zero = count_I_odd(ctx, t)
             row(q, plus if q == "Iplus" else zero, t)
     elif q == "It2":
-        if n % 2:
-            raise _UsageError(f"It2 needs even n, got n={n}")
-        plus, minus, zero = count_I_t2(ctx)
-        row("It2_plus", plus, 2)
-        row("It2_minus", minus, 2)
-        row("It2_zero", zero, 2)
+        if args.t not in (None, 2):
+            raise _UsageError(f"It2 is the dimension-2 census, got --t {args.t}")
+        for name, value in zip(("It2_plus", "It2_minus", "It2_zero"), count_I_t2(ctx)):
+            row(name, value, 2)
     elif q == "ratios":
         t = args.t if args.t is not None else 2
-        if t != 2 and t % 2 == 0:
-            raise _UsageError("ratios supports odd t or t=2")
         for rep in ratio_report(t, range(2, args.m_max + 1)):
             for name in ("ratio_nonzero", "t_over_m", "m_over_inv"):
                 row(name, f"{float(rep[name]):.12g}", t, rep["m"])
@@ -256,8 +269,6 @@ def _count_rows(args) -> list[tuple]:
 
 
 def _cmd_count(args) -> int:
-    if args.n < 2:
-        raise _UsageError(f"--n must be at least 2, got {args.n}")
     try:
         rows = _count_rows(args)
     except ValueError as exc:  # an argument the tower rejects, such as --j
@@ -268,11 +279,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = args.n
-    if n < 2:
-        raise _UsageError(f"--n must be at least 2, got {n}")
     with _output(args) as fh:
-        rows = _verify_rows(n, args.max_work)
+        rows = _verify_rows(args.n, args.max_work)
         _emit(fh, rows, _VERIFY_COLUMNS, args.format)
     failed = [(check, detail) for check, detail, status in rows if status == "FAIL"]
     for check, detail in failed:
@@ -314,7 +322,7 @@ def _verify_rows(n: int, max_work: int) -> list[tuple]:
     for t in divisors(n):
         fixed = res.involution_fixed_points[t]
         t_ok &= sum(fixed.values()) == count_T(ctx, t)
-        for r in range(1, n + 1):
+        for r in _r_range("R", n, t):
             r_ok &= fixed.get(r, 0) == count_R(ctx, t, r)
     report("involution_census", t_ok, "T counts vs enumeration, all t")
     report("fixed_point_census", r_ok, "R counts vs enumeration, all (t, r)")
@@ -322,11 +330,10 @@ def _verify_rows(n: int, max_work: int) -> list[tuple]:
     xo_ok = True
     for t in divisors(n):
         hist = res.orbit_involutions[t]
-        for r in range(0, t + 1):
-            want = hist.get(r, 0)
-            xo_ok &= want == count_O(ctx, t, r)
-            if r:
-                xo_ok &= r * want == count_X(ctx, t, r)
+        for r in _r_range("O", n, t):
+            xo_ok &= hist.get(r, 0) == count_O(ctx, t, r)
+        for r in _r_range("X", n, t):
+            xo_ok &= r * hist.get(r, 0) == count_X(ctx, t, r)
     report("orbit_involution_census", xo_ok, "X and O counts vs enumeration")
 
     if n % 2 == 0:
@@ -347,20 +354,13 @@ def main(argv: list[str] | None = None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-        if args.command == "count":
+        _check_args(args)
+        if args.command == "indicators":
+            code = _cmd_indicators(args)
+        elif args.command == "count":
             code = _cmd_count(args)
         else:
-            if args.max_work is None:
-                try:
-                    args.max_work = default_max_work()
-                except ValueError as exc:
-                    raise _UsageError(str(exc)) from None
-            elif args.max_work < 0:
-                raise _UsageError(f"--max-work must be non-negative, got {args.max_work}")
-            if args.command == "indicators":
-                code = _cmd_indicators(args)
-            else:
-                code = _cmd_verify(args)
+            code = _cmd_verify(args)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

@@ -58,8 +58,6 @@ __all__ = [
     "p_set",
     "p_c_set",
     "beta",
-    "delta_exists",
-    "m_ratio",
     "ebar_set",
     "k_prime_set",
     "delta_bar",
@@ -165,21 +163,6 @@ def p_c_set(j: int, m: int) -> tuple[int, ...]:
     """k_set minus p_set (p_set always sits inside k_set)."""
     p = set(p_set(j, m))
     return tuple(u for u in k_set(j, m) if u not in p)
-
-
-def delta_exists(j: int, m: int, r: int, cap: int) -> int:
-    """1 iff an involution with these (j, r) data can exist: beta | r and
-    r <= cap * beta (cap is the remainder degree the u_i live under)."""
-    b = beta(j, m)
-    return 1 if r % b == 0 and r <= cap * b else 0
-
-
-def m_ratio(j: int, m: int, r: int) -> int:
-    """r / beta(j, m): how many fixed-point blocks the r fixed points form."""
-    b = beta(j, m)
-    if r % b:
-        raise ValueError(f"beta={b} does not divide r={r}")
-    return r // b
 
 
 def ebar_set(j_sigma: int, n: int, t: int, s: int) -> tuple[int, ...]:

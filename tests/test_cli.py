@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -84,6 +85,12 @@ def test_count_dimension_two(capsys):
     assert vals["It2_minus"] == 8
     code, _out, err = run_cli(capsys, "count", "--n", "35", "--quantity", "It2")
     assert code == 1 and "even" in err
+    # --t 2 names the one dimension It2 covers; any other t is refused.
+    code, out_t2, _err = run_cli(capsys, "count", "--n", "36", "--quantity", "It2", "--t", "2")
+    assert code == 0 and parse_csv(out_t2) == rows
+    code, out, err = run_cli(capsys, "count", "--n", "12", "--quantity", "It2", "--t", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_count_quantities_cover_tower(capsys):
@@ -116,6 +123,10 @@ def test_count_ratios(capsys):
     rows = parse_csv(out)
     names = {r["quantity"] for r in rows}
     assert {"ratio_nonzero", "t_over_m", "m_over_inv", "e_size"} <= names
+    # Even t > 2 has no closed-form census; the tower's refusal is one line.
+    code, out, err = run_cli(capsys, "count", "--n", "4", "--quantity", "ratios", "--t", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_csv_json_equivalence(tmp_path, capsys):
@@ -267,6 +278,29 @@ def test_negative_max_work_is_usage_error(capsys):
         assert err.count("\n") == 1
         code, _out, err = run_cli(capsys, *argv, "--max-work", "0")
         assert code == 2 and "limit 0" in err
+
+
+def test_subcommand_flags():
+    # --max-work only where a workload guard runs: count evaluates closed
+    # forms and enumerates nothing.
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {opt for action in sp._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert flags == {
+        "indicators": {"--n", "--t", "--format", "--out", "--max-work"},
+        "count": {"--n", "--quantity", "--t", "--r", "--j", "--m-max", "--format", "--out"},
+        "verify": {"--n", "--format", "--out", "--max-work"},
+    }
+
+
+def test_count_rejects_max_work(capsys):
+    code, out, err = run_cli(capsys, "count", "--n", "12", "--quantity", "M", "--max-work", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_refused_job_leaves_out_empty(tmp_path, capsys):

@@ -21,14 +21,12 @@ from bismash.counting import (
     count_R,
     count_T,
     count_X,
-    delta_exists,
     e_set,
     ebar_set,
     euler_phi,
     involution_count,
     k_prime_set,
     k_set,
-    m_ratio,
     omega,
     p_c_set,
     p_set,
@@ -114,13 +112,11 @@ def test_helper_sets_worked_values():
     assert e_set(6) == (1, 5)
     assert k_set(5, 6) == (0, 1, 2, 3, 4, 5)
     assert alpha(5, 6) == 6
-    # n = 8, t = 4, j = 1, r = 2: m = 2
-    assert beta(1, 2) == 2 and delta_exists(1, 2, 2, 4) == 1 and m_ratio(1, 2, 2) == 1
+    # n = 8, t = 4, j = 1: m = 2
+    assert beta(1, 2) == 2
     assert p_set(1, 2) == (0,) and p_c_set(1, 2) == (1,)
     # n = 12, t = 3, s = 1, j_sigma = 2
     assert ebar_set(2, 12, 3, 1) == (5, 11)
-    with pytest.raises(ValueError):
-        m_ratio(1, 2, 3)  # beta = 2 does not divide r = 3
 
 
 def test_cached_residue_sets_match_definitions():
