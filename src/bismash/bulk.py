@@ -11,11 +11,14 @@ orbit's smallest member and stabilizer order in one scan of the shifts
 x <| a^l, and evaluates both routes chunk by chunk, so its memory is
 bounded by the chunk size.  The seeded strata -- the rows stabilized by
 a^t, those of stabilizer exactly <a^t>, and the involution stratum among
-them -- come from one block expander over (j, sigma, u) seeds once the
-workload guard has passed their candidate count.  One representative
-filter keeps the smallest member of each orbit of order t straight from
-the a^t-stabilized rows: the shift scan that finds it also reads off its
-exact stabilizer order, so no exactness pass precedes it.
+them -- come from one block expander over seed groups (j, sigmas, U),
+every sigma with every u, once the workload guard has passed their
+candidate count: one group per unit j for the a^t-stabilized rows, and
+one per (j, sigma) for the involutions, whose u depend on sigma.  One
+representative filter keeps the smallest member of each orbit of order
+t straight from the a^t-stabilized rows: the shift scan that finds it
+also reads off its exact stabilizer order, so no exactness pass
+precedes it.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
 comparison that reads column 1 first and compares whole rows on ties.
@@ -100,6 +103,13 @@ def _dtype(n: int):
 # Length of the suffix listed by the precomputed table: 8! rows of
 # 8 columns, small enough to stay in cache while it is gathered.
 _SUFFIX = 8
+
+# The sweep lists S_{n-1} in windows of this many rows: a multiple of the
+# suffix table's 8! rows, so no window splits a table block.  Between
+# 2**18 and 2M rows the window hardly moves the time of sweep(10) and
+# sweep(11); at this size sweep(12) peaks at about 100 MB RSS, against
+# 210 MB with 2M-row windows (2-core VM).
+_CHUNK = 16 * math.factorial(_SUFFIX)
 
 # The oracle compares orbit members with shifts of the inverse on codes
 # of this many columns first, in blocks of _BLOCK rows: its (rows, n)
@@ -222,7 +232,7 @@ def inversion_rows(X: np.ndarray, t: int):
     n = X.shape[1]
     m = n // t
     xt = X[:, t % n].astype(np.int64)
-    if t != n and (xt % t).any():
+    if (xt % t).any():
         raise AssertionError("x(t) not a multiple of t; wrong t for these rows")
     u1 = ((xt + t) // t) % m
     Xi = inverse_rows(X)
@@ -245,18 +255,16 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     n = X.shape[1]
     m = n // t
     found, _s, u1, u2 = inversion_rows(X, t)
-    out = np.zeros((len(X), m), dtype=np.int8)
-    for i in range(m):
-        nz = found & ((i * u1) % m == 0)
-        if m % 2:
-            out[nz, i] = 1
-        else:
-            k = (i * u2) % m
-            neg = nz & (k != 0)
-            if ((2 * k[neg]) % m != 0).any():
-                raise ArithmeticError("i*u2 escaped {0, m/2} although i*u1 = 0")
-            out[nz & (k == 0), i] = 1
-            out[neg, i] = -1
+    # All characters i at once: (x, i) is nonzero where i*u1 = 0 mod m,
+    # and there 2*i*u2 = 0 mod m, so the sign is +1 where i*u2 = 0 and -1
+    # where i*u2 = m/2 (odd m leaves only +1).
+    i = np.arange(m)
+    nz = found[:, None] & (np.outer(u1, i) % m == 0)
+    k = np.outer(u2, i) % m
+    if ((2 * k[nz]) % m).any():
+        raise ArithmeticError("i*u2 escaped {0, m/2} although i*u1 = 0")
+    out = nz.astype(np.int8)
+    out[nz & (k != 0)] = -1
     return out
 
 
@@ -399,19 +407,24 @@ def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
     return size
 
 
-def _expand(n: int, t: int, seeds, size: int) -> np.ndarray:
-    # The rows x(q*t + w) = q*j*t + x(w), x(w) = u_w*t + sigma(w), of the
-    # seed groups (j, sigma, U), one u per row of U, in group order; the
-    # seeds must fill the `size` candidates exactly.
+def _expand(n: int, t: int, groups, size: int) -> np.ndarray:
+    # The rows x(q*t + w) = t*((q*j + u_w) mod m) + sigma(w), m = n/t and
+    # u_0 = 0, of the seed groups (j, sigmas, U): every sigma row of the
+    # block with every u row of U, sigma-major, in group order.  The
+    # residue part is built once per group and the sigma rows, tiled m
+    # times, are added over it along whole rows (an add over a
+    # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
+    # the groups must fill the `size` candidates exactly.
     m = n // t
     out = np.empty((size, n), dtype=_dtype(n))
+    q = np.arange(m)[:, None]
     at = 0
-    for j, sigma, U in seeds:
-        block = out[at : at + len(U)].reshape(len(U), m, t)  # [row, q, w]
-        at += len(U)
-        off = np.arange(m)[:, None] * (j * t) % n
-        block[:, :, 0] = off[:, 0]
-        block[:, :, 1:] = (off + (U * t + np.asarray(sigma[1:]))[:, None, :]) % n
+    for j, sigmas, U in groups:
+        U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
+        lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype)
+        block = out[at : at + len(sigmas) * len(U)].reshape(len(sigmas), len(U), n)
+        np.add(lift.reshape(len(U), n), np.tile(sigmas, m)[:, None, :], out=block)
+        at += len(sigmas) * len(U)
     if at != size:
         raise ArithmeticError(f"{at} seeds listed for {size} candidates")
     return out
@@ -439,11 +452,13 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     """
     size, m = _stratum(n, t, _stabilized_M, max_work), n // t
     if t == n:
-        # a^n = 1 stabilizes everything; the seeds degenerate to S_{n-1}.
+        # a^n = 1 stabilizes everything.  The one seed group, j = 0 with
+        # every sigma of S_{n-1} and one empty u, would only copy the
+        # listing of S_{n-1} into a second array.
         return perm_block(n, 0, size)
-    U = _odometer([m] * (t - 1))
     sigmas = perm_block(t, 0, math.factorial(t - 1))
-    return _expand(n, t, ((j, sw, U) for j in units(m) for sw in sigmas), size)
+    U = _odometer([m] * (t - 1))
+    return _expand(n, t, ((j, sigmas, U) for j in units(m)), size)
 
 
 def exact_stabilizer_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
@@ -461,16 +476,16 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
     i < sigma(i), which set u_sigma(i) = -j*u_i.
     """
     size, m = _stratum(n, t, _stabilized_T, max_work), n // t
-    if t == n:
-        # m = 1 leaves j = 0 and u = (): every involution word is a seed
-        # group of one row, the word itself, so the words are the rows.
-        words = _involution_words(tuple(range(1, n)))
-        X = np.array([[0] + [w[i] for i in range(1, n)] for w in words], dtype=_dtype(n))
-        if len(X) != size:
-            raise ArithmeticError(f"{len(X)} seeds listed for {size} candidates")
-        return _exact_rows(X, t)
+    row_type = _dtype(n)
 
-    def seeds():
+    def groups():
+        if t == n:
+            # m = 1 leaves j = 0 and one zero u row for every sigma, so
+            # one group holds every involution word.
+            words = _involution_words(tuple(range(1, n)))
+            sigmas = np.array([[0] + [w[i] for i in range(1, n)] for w in words], dtype=row_type)
+            yield 0, sigmas, np.zeros((1, n - 1), dtype=np.intp)
+            return
         for j in e_set(m):
             kernel = np.array(k_set(j, m))
             # Per number l of 2-cycles: u at fixed points, 2-cycles, partners.
@@ -482,11 +497,12 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
                 if l not in shapes:
                     C = _odometer([len(kernel)] * f + [m] * l)
                     shapes[l] = np.hstack([kernel[C[:, :f]], C[:, f:], -j * C[:, f:] % m])
-                sigma = [0] + [image[i] for i in range(1, t)]
+                sigma = np.array([[0] + [image[i] for i in range(1, t)]], dtype=row_type)
                 cols = fixed + pairs + [image[i] for i in pairs]
+                # u depends on sigma here, so each (j, sigma) is its own group.
                 yield j, sigma, shapes[l][:, sorted(range(t - 1), key=cols.__getitem__)]
 
-    return _exact_rows(_expand(n, t, seeds(), size), t)
+    return _exact_rows(_expand(n, t, groups(), size), t)
 
 
 def orbit_rep_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
@@ -543,19 +559,20 @@ class SweepResult:
         )
 
 
-def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
+def sweep(n: int) -> SweepResult:
     """Verify the two indicator routes against each other over every
     orbit of S_{n-1} and collect census tallies.
 
-    Streams the (n-1)! permutations in chunks, keeps one canonical
-    representative per orbit and evaluates both indicator routes on it
-    for every character index, chunk by chunk: each orbit's canonical
-    member lies in exactly one chunk, so memory is bounded by the chunk
-    size.  Tallies use the per-(permutation, character) convention
-    (orbit rows weighted by t).  The oracle's transporter scan also lists
-    the orbit members whose transporter set contains b = 0, the
-    involutions, so the sweep also histograms, per t, the orbits by their
-    number of involutions and the involutions by their fixed points.
+    Streams the (n-1)! permutations in windows of ``_CHUNK`` rows
+    (16 * 8! = 645,120), keeps one canonical representative per orbit and
+    evaluates both indicator routes on it for every character index,
+    window by window: each orbit's canonical member lies in exactly one
+    window, so memory is bounded by the window size.  Tallies use the
+    per-(permutation, character) convention (orbit rows weighted by t).
+    The oracle's transporter scan also lists the orbit members whose
+    transporter set contains b = 0, the involutions, so the sweep also
+    histograms, per t, the orbits by their number of involutions and the
+    involutions by their fixed points.
     """
     total = math.factorial(n - 1)
     res = SweepResult(n=n, permutations=total)
@@ -566,8 +583,8 @@ def sweep(n: int, chunk: int = 2_000_000) -> SweepResult:
         res.orbit_involutions[t] = {}
         res.involution_fixed_points[t] = {}
 
-    for start in range(0, total, chunk):
-        X = perm_block(n, start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        X = perm_block(n, start, min(start + _CHUNK, total))
         orders = canonical_orders(X)
         for t in divisors(n):
             reps = X[orders == t]

@@ -117,6 +117,8 @@ def _check_args(args) -> None:
     # The CLI's own argument rules, checked once, before --out is opened or
     # any work starts.  verify has no --t, and count no --max-work.
     n, t = args.n, getattr(args, "t", None)
+    if t is None and getattr(args, "quantity", None) == "ratios":
+        t = args.t = 2  # ratios' default t obeys the same rule as --t
     if n < 2:
         raise _UsageError(f"--n must be at least 2, got {n}")
     if t is not None and (t < 1 or n % t):
@@ -256,7 +258,7 @@ def _count_rows(args) -> list[tuple]:
         for name, value in zip(("It2_plus", "It2_minus", "It2_zero"), count_I_t2(ctx)):
             row(name, value, 2)
     elif q == "ratios":
-        t = args.t if args.t is not None else 2
+        t = args.t
         for rep in ratio_report(t, range(2, args.m_max + 1)):
             for name in ("ratio_nonzero", "t_over_m", "m_over_inv"):
                 row(name, f"{float(rep[name]):.12g}", t, rep["m"])

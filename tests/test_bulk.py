@@ -226,7 +226,11 @@ def test_orbit_rep_mask_keeps_canonical_reps_past_degree_16():
 
 def test_stabilized_rows_follow_seed_order():
     # The array expander against the scalar definition, seed by seed.
-    for n, t in [(2, 2), (5, 1), (5, 5), (6, 3), (8, 4), (9, 3), (12, 2), (12, 4)]:
+    # (39, 3) has m = 13, so q*j + u runs past the int8 row type; (20, 5)
+    # puts 24 sigma rows in each seed group.
+    for n, t in [
+        (2, 2), (5, 1), (5, 5), (6, 3), (8, 4), (9, 3), (12, 2), (12, 4), (39, 3), (20, 5),
+    ]:
         m = n // t
         want = [
             build_from_seed(
@@ -266,16 +270,18 @@ def test_sweep_small_degrees():
                 assert c == count_R(ctx, t, r)
 
 
-def test_sweep_chunk_split_is_deterministic():
-    base = bulk.sweep(7)
-    split = bulk.sweep(7, chunk=100)
+def test_sweep_chunk_split_is_deterministic(monkeypatch):
+    base, base10 = bulk.sweep(7), bulk.sweep(10)
+    monkeypatch.setattr(bulk, "_CHUNK", 100)
+    split = bulk.sweep(7)
     assert base.m_counts == split.m_counts
     assert base.orbit_counts == split.orbit_counts
     assert base.tallies == split.tallies
     assert base.orbit_involutions == split.orbit_involutions
     assert split.mismatches == 0
-    # A chunk that is no multiple of 8! splits suffix blocks and orbits.
-    assert bulk.sweep(10, chunk=50_000) == bulk.sweep(10)
+    # A window that is no multiple of 8! splits suffix blocks and orbits.
+    monkeypatch.setattr(bulk, "_CHUNK", 50_000)
+    assert bulk.sweep(10) == base10
 
 
 def _rows(perms, n):

@@ -124,9 +124,11 @@ def test_count_ratios(capsys):
     names = {r["quantity"] for r in rows}
     assert {"ratio_nonzero", "t_over_m", "m_over_inv", "e_size"} <= names
     # Even t > 2 has no closed-form census; the tower's refusal is one line.
-    code, out, err = run_cli(capsys, "count", "--n", "4", "--quantity", "ratios", "--t", "4")
-    assert code == 1 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
+    # The default t = 2 must divide n like an explicit --t.
+    for argv in (("--n", "4", "--t", "4"), ("--n", "3")):
+        code, out, err = run_cli(capsys, "count", *argv, "--quantity", "ratios")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 def test_csv_json_equivalence(tmp_path, capsys):
