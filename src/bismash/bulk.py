@@ -4,21 +4,22 @@ Rows are residue words stored as numpy arrays of shape (N, n): column u
 holds x(u) mod n, column 0 is identically 0 (the fixed top point).  All
 the scalar operations of the package (shift action, stabilizer order,
 inverse, smallest inverting shift, both indicator routes) have
-array-level counterparts here.  A full sweep over S_{n-1} (39,916,800
-permutations at n = 12) lists the permutations as lexicographic prefixes
-times one cached table of the last min(n-1, 8) positions, finds each
-orbit's smallest member and stabilizer order in one scan of the shifts
-x <| a^l, and evaluates both routes chunk by chunk, so its memory is
-bounded by the chunk size.  The seeded strata -- the rows stabilized by
-a^t, those of stabilizer exactly <a^t>, and the involution stratum among
-them -- come from one block expander over seed groups (j, sigmas, U),
-every sigma with every u, once the workload guard has passed their
-candidate count: one group per unit j for the a^t-stabilized rows, and
-one per (j, sigma) for the involutions, whose u depend on sigma.  One
-representative filter keeps the smallest member of each orbit of order
-t straight from the a^t-stabilized rows: the shift scan that finds it
-also reads off its exact stabilizer order, so no exactness pass
-precedes it.
+array-level counterparts here.  The seeded strata -- the rows stabilized
+by a^t, those of stabilizer exactly <a^t>, and the involution stratum
+among them -- come from one block expander over seed groups (j, sigmas,
+U), every sigma with every u, once the workload guard has passed their
+candidate count: for the a^t-stabilized rows, whole sigma blocks of one
+unit j at a time, and one group per (j, sigma) for the involutions,
+whose u depend on sigma.  At t = n the a^t-stabilized rows are all of
+S_{n-1}, listed as lexicographic prefixes times one cached table of the
+last min(n-1, 8) positions.  One stream, ``rep_chunks``, lists the
+a^t-stabilized rows in windows of at most ``_CHUNK`` rows and keeps the
+smallest member of each orbit of order t: the scan of the shifts
+x <| a^l that finds it also reads off its exact stabilizer order, so no
+exactness pass precedes it.  The census, the representative tables and
+the full sweep over S_{n-1} (39,916,800 permutations at n = 12, split
+over every t at once) all read that stream's windows, so their memory is
+bounded by the window size.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
 comparison that reads column 1 first and compares whole rows on ties.
@@ -37,6 +38,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -69,6 +72,7 @@ __all__ = [
     "stabilized_rows",
     "exact_stabilizer_rows",
     "exact_involution_rows",
+    "rep_chunks",
     "orbit_rep_rows",
     "census_by_dimension",
     "sweep",
@@ -104,8 +108,9 @@ def _dtype(n: int):
 # 8 columns, small enough to stay in cache while it is gathered.
 _SUFFIX = 8
 
-# The sweep lists S_{n-1} in windows of this many rows: a multiple of the
-# suffix table's 8! rows, so no window splits a table block.  Between
+# The one window size: the a^t-stabilized rows are listed at most this
+# many at a time (``_windows``).  At t = n it is a multiple of the suffix
+# table's 8! rows, so no window splits a table block.  Between
 # 2**18 and 2M rows the window hardly moves the time of sweep(10) and
 # sweep(11); at this size sweep(12) peaks at about 100 MB RSS, against
 # 210 MB with 2M-row windows (2-core VM).
@@ -407,27 +412,61 @@ def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
     return size
 
 
-def _expand(n: int, t: int, groups, size: int) -> np.ndarray:
-    # The rows x(q*t + w) = t*((q*j + u_w) mod m) + sigma(w), m = n/t and
-    # u_0 = 0, of the seed groups (j, sigmas, U): every sigma row of the
-    # block with every u row of U, sigma-major, in group order.  The
-    # residue part is built once per group and the sigma rows, tiled m
-    # times, are added over it along whole rows (an add over a
+def _expand(n: int, t: int, groups, size: int, window: int):
+    # Yields the rows x(q*t + w) = t*((q*j + u_w) mod m) + sigma(w),
+    # m = n/t and u_0 = 0, of the seed groups (j, sigmas, U): every sigma
+    # row of the block with every u row of U, sigma-major, in group order.
+    # Groups are written one after another into windows of `window` rows
+    # (one group's rows, if more), and a window is yielded once the next
+    # group does not fit, so small groups share one window and one pass
+    # over it; `window` = `size` yields the whole stratum as one array.
+    # The residue part is built once per group and the sigma rows, tiled
+    # m times, are added over it along whole rows (an add over a
     # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
     # the groups must fill the `size` candidates exactly.
     m = n // t
-    out = np.empty((size, n), dtype=_dtype(n))
     q = np.arange(m)[:, None]
-    at = 0
+    out, at, listed = np.empty((0, n), dtype=_dtype(n)), 0, 0
     for j, sigmas, U in groups:
+        rows = len(sigmas) * len(U)
+        if at + rows > len(out):
+            if at:
+                yield out[:at]
+            out, at = np.empty((max(rows, min(window, size - listed)), n), dtype=out.dtype), 0
         U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
         lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype)
-        block = out[at : at + len(sigmas) * len(U)].reshape(len(sigmas), len(U), n)
-        np.add(lift.reshape(len(U), n), np.tile(sigmas, m)[:, None, :], out=block)
-        at += len(sigmas) * len(U)
-    if at != size:
-        raise ArithmeticError(f"{at} seeds listed for {size} candidates")
-    return out
+        view = out[at : at + rows].reshape(len(sigmas), len(U), n)
+        np.add(lift.reshape(len(U), n), np.tile(sigmas, m)[:, None, :], out=view)
+        at += rows
+        listed += rows
+    if at:
+        yield out[:at]
+    if listed != size:
+        raise ArithmeticError(f"{listed} seeds listed for {size} candidates")
+
+
+def _seed_groups(n: int, t: int):
+    # The seed groups of the a^t-stabilized rows, t < n, in seed order:
+    # per unit j, the sigma rows of S_{t-1} in blocks of whole sigmas, each
+    # with every u row, at most _CHUNK rows a group when one sigma's
+    # m^(t-1) rows fit (under the default guard they always do).
+    m = n // t
+    sigmas = perm_block(t, 0, math.factorial(t - 1))
+    U = _odometer([m] * (t - 1))
+    step = max(1, _CHUNK // len(U))
+    for j in units(m):
+        for lo in range(0, len(sigmas), step):
+            yield j, sigmas[lo : lo + step], U
+
+
+def _windows(n: int, t: int, size: int):
+    # The a^t-stabilized rows of a stratum of `size` candidates, in seed
+    # order, in windows of at most _CHUNK rows: the seed groups packed into
+    # windows for t < n, and for t = n (a^n = 1 stabilizes everything) the
+    # listing of S_{n-1}, cut at multiples of the suffix table's 8! rows.
+    if t < n:
+        return _expand(n, t, _seed_groups(n, t), size, _CHUNK)
+    return (perm_block(n, lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK))
 
 
 def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
@@ -445,20 +484,23 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     mod n/t, sigma in one-line lexicographic order, u as a big-endian
     odometer -- row k is ``build_from_seed`` of the k-th seed.  The
     workload guard counts the phi(n/t) * (n/t)^(t-1) * (t-1)! candidates
-    and refuses more than its limit.  It does not bound memory: the rows
-    are held at once, and census_by_dimension peaks at about 80 bytes
-    per candidate (1228 MB for the 15.7M candidates of (48, 6); some
-    8 GB at the default limit of 10^8).
+    and refuses more than its limit.  It does not bound memory here: this
+    view, like ``exact_stabilizer_rows`` and ``exact_involution_rows``,
+    holds the whole stratum at once, n bytes per candidate in the int8
+    row type, and a pass over it adds its own temporaries (the
+    representative scan and the congruence route over the whole of
+    (48, 6) peak at about 80 bytes per candidate, 1228 MB for its 15.7M
+    candidates; some 8 GB at the default limit of 10^8).  ``rep_chunks``
+    lists the same rows in windows of at most ``_CHUNK`` rows.
     """
-    size, m = _stratum(n, t, _stabilized_M, max_work), n // t
+    size = _stratum(n, t, _stabilized_M, max_work)
     if t == n:
         # a^n = 1 stabilizes everything.  The one seed group, j = 0 with
         # every sigma of S_{n-1} and one empty u, would only copy the
         # listing of S_{n-1} into a second array.
         return perm_block(n, 0, size)
-    sigmas = perm_block(t, 0, math.factorial(t - 1))
-    U = _odometer([m] * (t - 1))
-    return _expand(n, t, ((j, sigmas, U) for j in units(m)), size)
+    (X,) = _expand(n, t, _seed_groups(n, t), size, size)
+    return X
 
 
 def exact_stabilizer_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
@@ -502,19 +544,36 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
                 # u depends on sigma here, so each (j, sigma) is its own group.
                 yield j, sigma, shapes[l][:, sorted(range(t - 1), key=cols.__getitem__)]
 
-    return _exact_rows(_expand(n, t, groups(), size), t)
+    (X,) = _expand(n, t, groups(), size, size)
+    return _exact_rows(X, t)
+
+
+def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarray]:
+    """The canonical (lexicographically smallest) member of every orbit of
+    stabilizer order t, in the seed order of ``stabilized_rows``, as a
+    stream of row arrays.
+
+    The workload guard runs on the call, before any row is built.  The
+    stream then lists the a^t-stabilized rows in windows of at most
+    ``_CHUNK`` rows (seed groups of whole sigma blocks of one unit j,
+    consecutive small groups sharing a window, for t < n; a window of the
+    listing of S_{n-1} for t = n) and yields each window's rows
+    X[canonical_orders(X) == t], so memory is bounded by the window size.
+    ``canonical_orders`` judges each row alone, so the windows change no
+    result.  No exactness pass is needed: on an
+    a^t-stabilized row of exact order s | t the scan returns s or 0, never
+    t when s < t, so its value t picks the canonical rows of exact order t.
+    """
+    size = _stratum(n, t, _stabilized_M, max_work)
+    return (X[canonical_orders(X) == t] for X in _windows(n, t, size))
 
 
 def orbit_rep_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
-    """The canonical (lexicographically smallest) member of every orbit of
-    stabilizer order t, in the seed order of ``stabilized_rows``.
-
-    No exactness pass is needed: on an a^t-stabilized row of exact order
-    s | t the scan of ``canonical_orders`` returns s or 0, never t when
-    s < t, so its value t picks the canonical rows of exact order t.
-    """
-    X = stabilized_rows(n, t, max_work)
-    return X[canonical_orders(X) == t]
+    """Every chunk of ``rep_chunks`` in one array: the canonical member of
+    every orbit of stabilizer order t, in seed order.  Besides one window,
+    only the kept representatives, 1/t of the rows of exact order t, are
+    held at once."""
+    return np.concatenate(list(rep_chunks(n, t, max_work)))
 
 
 def _tally(values: np.ndarray, t: int) -> dict[int, int]:
@@ -527,9 +586,11 @@ def _tally(values: np.ndarray, t: int) -> dict[int, int]:
 def census_by_dimension(n: int, t: int, max_work: int | None = None) -> tuple[int, int, int]:
     """(plus, minus, zero) tallies over all (x, i) pairs of dimension t:
     x of stabilizer exactly <a^t>, i one of the n/t characters.  Each
-    orbit is evaluated on its representative and counted per member."""
-    reps = orbit_rep_rows(n, t, max_work)
-    tally = _tally(reduced_indicator_rows(reps, t), t)
+    orbit is evaluated on its representative and counted per member,
+    chunk by chunk of ``rep_chunks``."""
+    tally = Counter()
+    for reps in rep_chunks(n, t, max_work):
+        tally.update(_tally(reduced_indicator_rows(reps, t), t))
     return tally[1], tally[-1], tally[0]
 
 
@@ -563,11 +624,14 @@ def sweep(n: int) -> SweepResult:
     """Verify the two indicator routes against each other over every
     orbit of S_{n-1} and collect census tallies.
 
-    Streams the (n-1)! permutations in windows of ``_CHUNK`` rows
-    (16 * 8! = 645,120), keeps one canonical representative per orbit and
-    evaluates both indicator routes on it for every character index,
-    window by window: each orbit's canonical member lies in exactly one
-    window, so memory is bounded by the window size.  Tallies use the
+    Reads the t = n windows behind ``rep_chunks``, the (n-1)!
+    permutations in windows of ``_CHUNK`` rows (16 * 8! = 645,120), and
+    splits each window over every t: one ``canonical_orders`` scan keeps
+    one canonical representative per orbit, and both indicator routes run
+    on it for every character index, window by window.  Each orbit's
+    canonical member lies in exactly one window, so memory is bounded by
+    the window size.  No guard runs here; callers guard the (n-1)!
+    permutations themselves (``verify`` does).  Tallies use the
     per-(permutation, character) convention (orbit rows weighted by t).
     The oracle's transporter scan also lists the orbit members whose
     transporter set contains b = 0, the involutions, so the sweep also
@@ -583,8 +647,7 @@ def sweep(n: int) -> SweepResult:
         res.orbit_involutions[t] = {}
         res.involution_fixed_points[t] = {}
 
-    for start in range(0, total, _CHUNK):
-        X = perm_block(n, start, min(start + _CHUNK, total))
+    for X in _windows(n, n, total):
         orders = canonical_orders(X)
         for t in divisors(n):
             reps = X[orders == t]

@@ -146,9 +146,11 @@ def enumerate_orbit_reps(
 ) -> Iterator[Orbit]:
     """One Orbit per equivalence class with stabilizer order t, keyed by
     the canonical (lexicographically smallest) representative, in seed
-    order; optionally only orbits containing exactly r involutions."""
-    reps = bulk.orbit_rep_rows(n, t, max_work)
-    if r is not None:
-        reps = reps[bulk.orbit_involution_counts(reps, t) == r]
-    for x in _perms(reps):
-        yield orbit(x)
+    order; optionally only orbits containing exactly r involutions.
+    Orbits come chunk by chunk of ``bulk.rep_chunks``, each chunk filtered
+    by r on its own, so only one window of rows is held at a time."""
+    for reps in bulk.rep_chunks(n, t, max_work):
+        if r is not None:
+            reps = reps[bulk.orbit_involution_counts(reps, t) == r]
+        for x in _perms(reps):
+            yield orbit(x)

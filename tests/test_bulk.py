@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,6 +174,69 @@ def test_seeded_rows_match_census():
             # The representative path, read straight off the a^t-stabilized
             # rows, keeps the same rows in the same order.
             assert np.array_equal(bulk.orbit_rep_rows(n, t), X[values == t])
+
+
+def test_rep_chunks_split_changes_nothing(monkeypatch):
+    # (36, 6): a unit j holds 120 sigmas of 6^5 u rows, 933,120 rows, so
+    # its seed group splits along sigma into two windows.  (48, 4): the
+    # four units' groups of 10,368 rows share one window.  (11, 11): the
+    # 10! rows of S_10 fall into 6 windows of the listing.  The stream
+    # keeps the rows the filter keeps on the whole stratum, in order.
+    windows = []
+    scan = bulk.canonical_orders
+
+    def counted_scan(X):
+        windows.append(len(X))
+        return scan(X)
+
+    monkeypatch.setattr(bulk, "canonical_orders", counted_scan)
+    for n, t, X, count in [
+        (36, 6, bulk.stabilized_rows(36, 6), 4),
+        (48, 4, bulk.stabilized_rows(48, 4), 1),
+        (11, 11, bulk.perm_block(11, 0, math.factorial(10)), 6),
+    ]:
+        windows.clear()
+        reps = bulk.orbit_rep_rows(n, t)
+        assert len(windows) == count and sum(windows) == len(X)
+        assert max(windows) <= bulk._CHUNK
+        assert np.array_equal(reps, X[scan(X) == t])
+
+
+def test_one_sigma_block_fits_a_window():
+    # A seed group holds whole sigma blocks of m^(t-1) rows each, so the
+    # windows stay within _CHUNK rows only while one block fits.  Under
+    # the default guard of 10^8 candidates it always does; degrees past
+    # the row-width limit n <= 32767 are refused, so the search ends.
+    limit, largest = 10**8, (0, None)
+    for t in range(2, 12):
+        for m in range(2, 32767 // t + 1):
+            block = m ** (t - 1)
+            if block * math.factorial(t - 1) > limit:
+                break
+            if euler_phi(m) * block * math.factorial(t - 1) <= limit:
+                largest = max(largest, (block, (m * t, t)))
+    assert largest == (592704, (336, 4))
+    assert largest[0] <= bulk._CHUNK
+
+
+def test_rep_chunks_bound_memory():
+    # tracemalloc peaks at (36, 6), 1,866,240 rows of 36 bytes (64.1 MiB).
+    # The whole-stratum views hold every row, and peak no higher than
+    # they did before the stream (69.28 and 144.12 MiB); the census holds
+    # at most two windows of _CHUNK rows, the one it scans and the next
+    # being built (109.8 MiB when it filtered the whole view at once).
+    for call, bound_mib in [
+        (bulk.stabilized_rows, 69.3),
+        (bulk.exact_stabilizer_rows, 144.2),
+        (bulk.census_by_dimension, 64),
+    ]:
+        tracemalloc.start()
+        try:
+            call(36, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (call.__name__, peak)
 
 
 def test_seeded_rows_workload_guard():
