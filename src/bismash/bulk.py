@@ -7,19 +7,21 @@ inverse, smallest inverting shift, both indicator routes) have
 array-level counterparts here.  The seeded strata -- the rows stabilized
 by a^t, those of stabilizer exactly <a^t>, and the involution stratum
 among them -- come from one block expander over seed groups (j, sigmas,
-U), every sigma with every u, once the workload guard has passed their
-candidate count: for the a^t-stabilized rows, whole sigma blocks of one
-unit j at a time, and one group per (j, sigma) for the involutions,
-whose u depend on sigma.  At t = n the a^t-stabilized rows are all of
-S_{n-1}, listed as lexicographic prefixes times one cached table of the
-last min(n-1, 8) positions.  One stream, ``rep_chunks``, lists the
+U), every sigma with every u: for the a^t-stabilized rows, whole sigma
+blocks of one unit j at a time, and one group per (j, sigma) for the
+involutions, whose u depend on sigma.  At t = n the a^t-stabilized rows
+are all of S_{n-1}, listed as lexicographic prefixes times one cached
+table of the last min(n-1, 8) positions.  Every listing, the full sweep
+included, passes one gate first: the workload guard on its stratum's
+candidate count (``_stratum``), which refuses a stratum over the limit
+before any row is built.  One stream, ``rep_chunks``, lists the
 a^t-stabilized rows in windows of at most ``_CHUNK`` rows and keeps the
 smallest member of each orbit of order t: the scan of the shifts
 x <| a^l that finds it also reads off its exact stabilizer order, so no
-exactness pass precedes it.  The census, the representative tables and
-the full sweep over S_{n-1} (39,916,800 permutations at n = 12, split
-over every t at once) all read that stream's windows, so their memory is
-bounded by the window size.
+exactness pass precedes it.  The census, the indicator tables and the
+full sweep over S_{n-1} (39,916,800 permutations at n = 12, split over
+every t at once) all read that stream's windows, so the rows they list
+are bounded by the window size.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
 comparison that reads column 1 first and compares whole rows on ties.
@@ -73,7 +75,6 @@ __all__ = [
     "exact_stabilizer_rows",
     "exact_involution_rows",
     "rep_chunks",
-    "orbit_rep_rows",
     "census_by_dimension",
     "sweep",
     "SweepResult",
@@ -373,16 +374,6 @@ def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
     return np.bincount(rows, minlength=len(X)).astype(np.int16)
 
 
-def _guard(candidates: int, max_work: int | None, what: str) -> None:
-    # The workload guard: refuse, before anything is built, a job of more
-    # candidates than the limit (default_max_work() unless given).
-    limit = default_max_work() if max_work is None else max_work
-    if candidates > limit:
-        raise WorkloadExceeded(
-            f"workload guard: {what} has {candidates} candidates, limit {limit}"
-        )
-
-
 def _odometer(sizes: list[int]) -> np.ndarray:
     # Every tuple c with 0 <= c[i] < sizes[i], one per row, in big-endian
     # odometer order (the last entry turns fastest).
@@ -404,11 +395,18 @@ def _involution_words(points: tuple[int, ...]):
 
 
 def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
-    # A stratum's candidate count, the tower's term stabilized(ctx, t), guarded.
+    # A stratum's candidate count, the tower's term stabilized(ctx, t),
+    # under the workload guard, the one gate of every listing: a stratum
+    # of more candidates than the limit (default_max_work() unless given)
+    # is refused before anything is built.
     if t < 1 or n % t:
         raise ValueError(f"t={t} must divide n={n}")
     size = stabilized(CountContext(n), t)[0]
-    _guard(size, max_work, f"stratum (n={n}, t={t})")
+    limit = default_max_work() if max_work is None else max_work
+    if size > limit:
+        raise WorkloadExceeded(
+            f"workload guard: stratum (n={n}, t={t}) has {size} candidates, limit {limit}"
+        )
     return size
 
 
@@ -551,7 +549,8 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
 def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarray]:
     """The canonical (lexicographically smallest) member of every orbit of
     stabilizer order t, in the seed order of ``stabilized_rows``, as a
-    stream of row arrays.
+    stream of row arrays: the one way the census, the indicator tables
+    and ``construct.enumerate_orbit_reps`` read representatives.
 
     The workload guard runs on the call, before any row is built.  The
     stream then lists the a^t-stabilized rows in windows of at most
@@ -566,14 +565,6 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     """
     size = _stratum(n, t, _stabilized_M, max_work)
     return (X[canonical_orders(X) == t] for X in _windows(n, t, size))
-
-
-def orbit_rep_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
-    """Every chunk of ``rep_chunks`` in one array: the canonical member of
-    every orbit of stabilizer order t, in seed order.  Besides one window,
-    only the kept representatives, 1/t of the rows of exact order t, are
-    held at once."""
-    return np.concatenate(list(rep_chunks(n, t, max_work)))
 
 
 def _tally(values: np.ndarray, t: int) -> dict[int, int]:
@@ -620,7 +611,7 @@ class SweepResult:
         )
 
 
-def sweep(n: int) -> SweepResult:
+def sweep(n: int, max_work: int | None = None) -> SweepResult:
     """Verify the two indicator routes against each other over every
     orbit of S_{n-1} and collect census tallies.
 
@@ -630,15 +621,16 @@ def sweep(n: int) -> SweepResult:
     one canonical representative per orbit, and both indicator routes run
     on it for every character index, window by window.  Each orbit's
     canonical member lies in exactly one window, so memory is bounded by
-    the window size.  No guard runs here; callers guard the (n-1)!
-    permutations themselves (``verify`` does).  Tallies use the
+    the window size.  The workload guard counts the (n-1)! permutations
+    as the stratum t = n and refuses more than ``max_work`` (default
+    ``default_max_work()``) before any window is built.  Tallies use the
     per-(permutation, character) convention (orbit rows weighted by t).
     The oracle's transporter scan also lists the orbit members whose
     transporter set contains b = 0, the involutions, so the sweep also
     histograms, per t, the orbits by their number of involutions and the
     involutions by their fixed points.
     """
-    total = math.factorial(n - 1)
+    total = _stratum(n, n, _stabilized_M, max_work)
     res = SweepResult(n=n, permutations=total)
     for t in divisors(n):
         res.m_counts[t] = 0

@@ -166,6 +166,13 @@ _COUNT_COLUMNS = ["n", "t", "quantity", "r", "j", "i", "value"]
 _VERIFY_COLUMNS = ["check", "detail", "status"]
 
 
+# Table rows become Python lists this many at a time, so the lists stay
+# a few tens of MB: at (48, 6) a representative and its values take 576
+# bytes as lists against 56 in the int8 arrays, so lists of the whole
+# entry, 2.6M representatives, would take about 1.5 GB.
+_TOLIST_ROWS = 1 << 16
+
+
 def _cmd_indicators(args) -> int:
     n = args.n
     with _output(args) as fh:
@@ -187,10 +194,12 @@ def _cmd_indicators(args) -> int:
         gap = lead
         for t, reps, values in table:
             suffixes = [[suffix(i, v) for v in (0, 1, -1)] for i in range(n // t)]
-            for rep, vals in zip(reps.tolist(), values.tolist()):
-                head = prefix(n, t, cycle_notation(rep))
-                fh.write(gap + sep.join([head + suffixes[i][v] for i, v in enumerate(vals)]))
-                gap = sep
+            for lo in range(0, len(reps), _TOLIST_ROWS):
+                block = slice(lo, lo + _TOLIST_ROWS)
+                for rep, vals in zip(reps[block].tolist(), values[block].tolist()):
+                    head = prefix(n, t, cycle_notation(rep))
+                    fh.write(gap + sep.join([head + suffixes[i][v] for i, v in enumerate(vals)]))
+                    gap = sep
         fh.write(empty if gap == lead else close)
     tal = tally_indicators(table)
     print(
@@ -291,7 +300,8 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_rows(n: int, max_work: int) -> list[tuple]:
-    bulk._guard(math.factorial(n - 1), max_work, f"sweep of S_{n - 1}")
+    # The sweep runs first: its workload guard refuses before any work.
+    res = bulk.sweep(n, max_work)
     rows: list[tuple] = []
 
     def report(check: str, ok: bool, detail: str) -> None:
@@ -305,7 +315,6 @@ def _verify_rows(n: int, max_work: int) -> list[tuple]:
         bad = check_multiplication_associative(k)
         report(f"hopf_associative n={k}", not bad, f"{len(bad)} offending triples")
 
-    res = bulk.sweep(n)
     report(
         "indicator_oracle_equivalence",
         res.mismatches == 0,

@@ -167,19 +167,26 @@ def indicator_table(
     ``reps`` holds the canonical orbit representatives as residue-word
     rows and ``values[k, i]`` is the indicator of the module
     (reps[k], t, i), so each entry stands for len(reps) * n/t modules.
-    Representatives come from the seeded strata of ``bulk`` under its
-    workload guard, sorted lexicographically (the order of their one-line
-    forms, column 0 being 0), and the array congruence route evaluates them.
+    Representatives are read window by window from ``bulk.rep_chunks``,
+    whose workload guard also rejects a t that does not divide n, and
+    the array congruence route evaluates each window.  The entry is then
+    sorted once, lexicographically (the order of the one-line forms,
+    column 0 being 0).
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    if filter_t is not None and (filter_t < 1 or n % filter_t):
-        raise ValueError(f"t={filter_t} does not divide n={n}")
     table = []
     for t in [filter_t] if filter_t is not None else divisors(n):
-        reps = bulk.orbit_rep_rows(n, t, max_work)
-        reps = reps[np.lexsort(reps.T[::-1])]
-        table.append((t, reps, bulk.reduced_indicator_rows(reps, t)))
+        reps, values = [], []
+        for X in bulk.rep_chunks(n, t, max_work):
+            reps.append(X)
+            values.append(bulk.reduced_indicator_rows(X, t))
+        reps, values = np.concatenate(reps), np.concatenate(values)
+        # An a^t-stabilized row is determined by x(1..t), its seed, so the
+        # rows differ there and a sort on columns 0..t orders them as the
+        # sort on all columns does.
+        order = np.lexsort(reps[:, t::-1].T)
+        table.append((t, reps[order], values[order]))
     return table
 
 

@@ -173,7 +173,8 @@ def test_seeded_rows_match_census():
             assert int((values == t).sum()) * t == len(X)
             # The representative path, read straight off the a^t-stabilized
             # rows, keeps the same rows in the same order.
-            assert np.array_equal(bulk.orbit_rep_rows(n, t), X[values == t])
+            reps = np.concatenate(list(bulk.rep_chunks(n, t)))
+            assert np.array_equal(reps, X[values == t])
 
 
 def test_rep_chunks_split_changes_nothing(monkeypatch):
@@ -196,7 +197,7 @@ def test_rep_chunks_split_changes_nothing(monkeypatch):
         (11, 11, bulk.perm_block(11, 0, math.factorial(10)), 6),
     ]:
         windows.clear()
-        reps = bulk.orbit_rep_rows(n, t)
+        reps = np.concatenate(list(bulk.rep_chunks(n, t)))
         assert len(windows) == count and sum(windows) == len(X)
         assert max(windows) <= bulk._CHUNK
         assert np.array_equal(reps, X[scan(X) == t])
@@ -265,7 +266,7 @@ def test_transporter_scan_lists_involution_members(monkeypatch):
     monkeypatch.setattr(bulk, "_BLOCK", 97)
     for n in (8, 9, 10):
         for t in divisors(n):
-            reps = bulk.orbit_rep_rows(n, t)
+            reps = np.concatenate(list(bulk.rep_chunks(n, t)))
             counts, rows, ls = bulk.transporter_classes(reps, t)
             want = set()
             for l in range(1, t + 1):
@@ -332,6 +333,24 @@ def test_sweep_small_degrees():
             assert sum(fixed.values()) == count_T(ctx, t)
             for r, c in fixed.items():
                 assert c == count_R(ctx, t, r)
+
+
+def test_sweep_workload_guard(monkeypatch):
+    # The sweep counts the 8! rows of S_8 as the stratum t = n and refuses
+    # one more than its limit before listing any window.
+    listed = []
+    perm_block = bulk.perm_block
+
+    def counted_block(*args):
+        listed.append(args)
+        return perm_block(*args)
+
+    monkeypatch.setattr(bulk, "perm_block", counted_block)
+    with pytest.raises(bulk.WorkloadExceeded, match=r"stratum \(n=9, t=9\)"):
+        bulk.sweep(9, max_work=math.factorial(8) - 1)
+    assert listed == []
+    assert bulk.sweep(9, max_work=math.factorial(8)) == bulk.sweep(9)
+    assert listed
 
 
 def test_sweep_chunk_split_is_deterministic(monkeypatch):

@@ -178,6 +178,19 @@ def test_indicator_tables_byte_for_byte(tmp_path, capsys):
         assert outs["json"] == json.dumps(rows, indent=0) + "\n", argv
 
 
+def test_indicators_convert_rows_in_blocks(capsys, monkeypatch):
+    # (24, 6) has 40,868 representatives; blocks of 1000 rows write the
+    # same bytes as the default blocks of 2^16, which hold the whole entry.
+    argv = ("indicators", "--n", "24", "--t", "6")
+    for fmt in ("csv", "json"):
+        code, whole, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_TOLIST_ROWS", 1000)
+            code, blocks, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0 and blocks == whole, fmt
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "indicators", "--n", "10", "--t", "2")
     _, out2, _ = run_cli(capsys, "indicators", "--n", "10", "--t", "2")

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bismash import bulk
 from bismash.counting import CountContext, count_M
 from bismash.hopf import sym_fixing_top
 from bismash.indicator import (
@@ -138,6 +140,26 @@ def test_indicator_table_sorted_and_validates():
             indicator_table(12, bad)
     with pytest.raises(ValueError):
         indicator_table(1)
+
+
+def test_indicator_table_window_split_changes_nothing(monkeypatch):
+    # (24, 6) streams its 245,760 candidates through one window by default
+    # and through 8 windows of at most 2^15 rows; each window is evaluated
+    # on its own and the entry sorted once, so the arrays are the same.
+    [(_t, reps, values)] = indicator_table(24, 6)
+    windows = []
+    scan = bulk.canonical_orders
+
+    def counted_scan(X):
+        windows.append(len(X))
+        return scan(X)
+
+    monkeypatch.setattr(bulk, "canonical_orders", counted_scan)
+    monkeypatch.setattr(bulk, "_CHUNK", 1 << 15)
+    [(_t, split_reps, split_values)] = indicator_table(24, 6)
+    assert len(windows) == 8 and max(windows) <= 1 << 15
+    assert split_reps.dtype == reps.dtype and split_values.dtype == values.dtype
+    assert np.array_equal(split_reps, reps) and np.array_equal(split_values, values)
 
 
 def test_descriptor_validation():
