@@ -18,10 +18,15 @@ before any row is built.  One stream, ``rep_chunks``, lists the
 a^t-stabilized rows in windows of at most ``_CHUNK`` rows and keeps the
 smallest member of each orbit of order t: the scan of the shifts
 x <| a^l that finds it also reads off its exact stabilizer order, so no
-exactness pass precedes it.  The census, the indicator tables and the
-full sweep over S_{n-1} (39,916,800 permutations at n = 12, split over
-every t at once) all read that stream's windows, so the rows they list
-are bounded by the window size.
+exactness pass precedes it.  At t = n the stream lists candidates, not
+all of S_{n-1}, by the column-1 lemma: column 1 of x <| a^l is
+d(l) = x(l+1) - x(l) mod n, so an orbit's smallest member has
+x(1) <= d(l) for every l, the closing d(n-1) = -x(n-1) included.  Rows
+with x(1) = 1 all pass, and those with x(1) >= 2 come from a pruned
+expansion; 14.0% of S_11 passes (5,593,455 of 39,916,800 rows at
+n = 12).  The census, the indicator tables and the full sweep over
+S_{n-1} (split over every t at once) all read that stream's windows,
+so the rows they list are bounded by the window size.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
 comparison that reads column 1 first and compares whole rows on ties.
@@ -116,6 +121,11 @@ _SUFFIX = 8
 # sweep(11); at this size sweep(12) peaks at about 100 MB RSS, against
 # 210 MB with 2M-row windows (2-core VM).
 _CHUNK = 16 * math.factorial(_SUFFIX)
+
+# The pruned expansion of the t = n candidates grows a level at most
+# this many nodes at a time: the levels it holds stay about 4 MB at
+# n = 12, and larger slices were no faster.
+_SLICE = 1 << 14
 
 # The oracle compares orbit members with shifts of the inverse on codes
 # of this many columns first, in blocks of _BLOCK rows: its (rows, n)
@@ -457,14 +467,86 @@ def _seed_groups(n: int, t: int):
             yield j, sigmas[lo : lo + step], U
 
 
+def _pruned_blocks(n: int) -> Iterator[np.ndarray]:
+    # The rows of S_{n-1} with x(1) = k >= 2 and every difference
+    # d(l) = x(l+1) - x(l) mod n >= k, the closing d(n-1) = -x(n-1)
+    # included, in lexicographic order, in blocks of at most
+    # min(_CHUNK, _SLICE) rows.  The prefixes grow one position per level,
+    # for every k at once: a node holds its symbol and a pointer to its
+    # parent, and the level being grown also its k and the bitmask of the
+    # symbols used so far.  A level is grown in slices of parents whose
+    # children fit one block, depth first, so every level held and every
+    # block stays bounded.
+    if n > 64:
+        raise ValueError(f"degree n={n} exceeds the used-set bitmask limit n <= 64")
+    # Little-endian masks: bit c of a mask is bit c of its unpacked bytes.
+    bits = np.min_scalar_type(2**n - 1).newbyteorder("<")
+    c = np.arange(n)
+    bit = np.left_shift(np.ones(n, dtype=bits), c.astype(bits))
+    gap = (c[None, :] - c[:, None]) % n  # gap[a, b] = b - a mod n
+    # allowed[a, k]: the symbols 1..n-1 at least k past a; closing[k]: those
+    # at least k before 0, as the last symbol must be.
+    allowed = ((gap[:, None, 1:] >= c[None, :, None]) * bit[1:]).sum(axis=2, dtype=bits)
+    closing = ((gap[None, 1:, 0] >= c[:, None]) * bit[1:]).sum(axis=1, dtype=bits)
+    cap = min(_CHUNK, _SLICE)
+    row_type = _dtype(n)
+
+    def grow(levels, k, used):
+        # levels[d-1] = (symbols, parents) of the nodes at depth d.
+        avail = (allowed[levels[-1][0], k] & ~used).astype(bits, copy=False)
+        if len(levels) == n - 2:
+            # One symbol is left, the one bit of its mask (its index is the
+            # popcount of mask - 1): the row ends with it if it also closes.
+            # The rows are rebuilt from the pointers, one column per level.
+            at = np.flatnonzero(avail & closing[k])
+            rows = np.zeros((len(at), n), dtype=row_type)
+            rows[:, n - 1] = np.bitwise_count(avail[at] - 1)
+            for col in range(n - 2, 0, -1):
+                sym, parent = levels[col - 1]
+                rows[:, col] = sym[at]
+                at = parent[at]
+            yield rows
+            return
+        ends = np.cumsum(np.bitwise_count(avail))
+        lo = 0
+        while lo < len(avail):
+            hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + cap, "right"))
+            # Bit c of a parent's mask is one child: the set bits, read off
+            # in order, give the children in lexicographic order.
+            b = np.unpackbits(avail[lo:hi].view(np.uint8), bitorder="little")
+            p, sym = np.divmod(np.flatnonzero(b), 8 * bits.itemsize)
+            p += lo
+            yield from grow([*levels, (sym, p)], k[p], used[p] | bit[sym])
+            lo = hi
+
+    roots = np.arange(2, n)
+    yield from grow([(roots, np.zeros(len(roots), dtype=np.intp))], roots, bit[roots])
+
+
 def _windows(n: int, t: int, size: int):
     # The a^t-stabilized rows of a stratum of `size` candidates, in seed
     # order, in windows of at most _CHUNK rows: the seed groups packed into
-    # windows for t < n, and for t = n (a^n = 1 stabilizes everything) the
-    # listing of S_{n-1}, cut at multiples of the suffix table's 8! rows.
+    # windows for t < n.  For t = n (a^n = 1 stabilizes everything) only
+    # the rows that can be an orbit's smallest member, in lexicographic
+    # order: by the column-1 lemma, those with x(1) <= d(l) for every l.
+    # Rows with x(1) = 1 all pass, the first (n-2)! rows of the listing of
+    # S_{n-1}; the rest come from the pruned expansion, its blocks packed
+    # into windows.
     if t < n:
-        return _expand(n, t, _seed_groups(n, t), size, _CHUNK)
-    return (perm_block(n, lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK))
+        yield from _expand(n, t, _seed_groups(n, t), size, _CHUNK)
+        return
+    ones = math.factorial(n - 2)
+    for lo in range(0, ones, _CHUNK):
+        yield perm_block(n, lo, min(lo + _CHUNK, ones))
+    blocks, rows = [], 0
+    for block in _pruned_blocks(n):
+        if rows + len(block) > _CHUNK:
+            window, blocks, rows = np.concatenate(blocks), [], 0
+            yield window
+        blocks.append(block)
+        rows += len(block)
+    if rows:
+        yield np.concatenate(blocks)
 
 
 def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
@@ -555,9 +637,12 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     The workload guard runs on the call, before any row is built.  The
     stream then lists the a^t-stabilized rows in windows of at most
     ``_CHUNK`` rows (seed groups of whole sigma blocks of one unit j,
-    consecutive small groups sharing a window, for t < n; a window of the
-    listing of S_{n-1} for t = n) and yields each window's rows
-    X[canonical_orders(X) == t], so memory is bounded by the window size.
+    consecutive small groups sharing a window, for t < n) and yields each
+    window's rows X[canonical_orders(X) == t], so memory is bounded by the
+    window size.  For t = n the windows hold only the candidates of the
+    column-1 lemma (module docstring), x(1) <= x(l+1) - x(l) mod n for
+    every l, in lexicographic order: every orbit's smallest member, but
+    not all of S_{n-1}.  The guard still counts the (n-1)! rows.
     ``canonical_orders`` judges each row alone, so the windows change no
     result.  No exactness pass is needed: on an
     a^t-stabilized row of exact order s | t the scan returns s or 0, never
@@ -615,14 +700,17 @@ def sweep(n: int, max_work: int | None = None) -> SweepResult:
     """Verify the two indicator routes against each other over every
     orbit of S_{n-1} and collect census tallies.
 
-    Reads the t = n windows behind ``rep_chunks``, the (n-1)!
-    permutations in windows of ``_CHUNK`` rows (16 * 8! = 645,120), and
-    splits each window over every t: one ``canonical_orders`` scan keeps
-    one canonical representative per orbit, and both indicator routes run
-    on it for every character index, window by window.  Each orbit's
-    canonical member lies in exactly one window, so memory is bounded by
-    the window size.  The workload guard counts the (n-1)! permutations
-    as the stratum t = n and refuses more than ``max_work`` (default
+    Reads the t = n windows behind ``rep_chunks``, of at most ``_CHUNK``
+    rows (16 * 8! = 645,120), and splits each window over every t: one
+    ``canonical_orders`` scan keeps one canonical representative per
+    orbit, and both indicator routes run on it for every character index,
+    window by window.  The windows list only the candidates of the
+    column-1 lemma (module docstring), 14-15% of S_{n-1} at n = 11, 12;
+    each orbit's canonical member is one of them and lies in exactly one
+    window, so memory is bounded by the window size, and a candidate the
+    listing missed would leave sum(m_counts) short of ``permutations``.
+    The workload guard counts the (n-1)! permutations as the stratum
+    t = n and refuses more than ``max_work`` (default
     ``default_max_work()``) before any window is built.  Tallies use the
     per-(permutation, character) convention (orbit rows weighted by t).
     The oracle's transporter scan also lists the orbit members whose

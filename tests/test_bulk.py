@@ -177,12 +177,23 @@ def test_seeded_rows_match_census():
             assert np.array_equal(reps, X[values == t])
 
 
+def _column1_filter(X):
+    # The rows with x(1) <= d(l) = x(l+1) - x(l) mod n for every l, the
+    # closing d(n-1) = -x(n-1) included: column 1 of x <| a^l is d(l), so
+    # an orbit's smallest member passes.
+    n = X.shape[1]
+    D = (np.roll(X, -1, axis=1).astype(np.int64) - X) % n
+    return X[(D[:, 1:] >= X[:, [1]]).all(axis=1)]
+
+
 def test_rep_chunks_split_changes_nothing(monkeypatch):
     # (36, 6): a unit j holds 120 sigmas of 6^5 u rows, 933,120 rows, so
     # its seed group splits along sigma into two windows.  (48, 4): the
-    # four units' groups of 10,368 rows share one window.  (11, 11): the
-    # 10! rows of S_10 fall into 6 windows of the listing.  The stream
-    # keeps the rows the filter keeps on the whole stratum, in order.
+    # four units' groups of 10,368 rows share one window.  (11, 11): of
+    # the 10! rows of S_10 only the 558,661 column-1 candidates are
+    # listed, in 2 windows: the 9! rows with x(1) = 1, then the pruned
+    # expansion's 195,781.  The stream keeps the rows the filter keeps on
+    # the whole stratum, in order.
     windows = []
     scan = bulk.canonical_orders
 
@@ -191,16 +202,33 @@ def test_rep_chunks_split_changes_nothing(monkeypatch):
         return scan(X)
 
     monkeypatch.setattr(bulk, "canonical_orders", counted_scan)
-    for n, t, X, count in [
-        (36, 6, bulk.stabilized_rows(36, 6), 4),
-        (48, 4, bulk.stabilized_rows(48, 4), 1),
-        (11, 11, bulk.perm_block(11, 0, math.factorial(10)), 6),
+    X36, X48 = bulk.stabilized_rows(36, 6), bulk.stabilized_rows(48, 4)
+    S10 = bulk.perm_block(11, 0, math.factorial(10))
+    for n, t, X, count, listed in [
+        (36, 6, X36, 4, len(X36)),
+        (48, 4, X48, 1, len(X48)),
+        (11, 11, S10, 2, 558_661),
     ]:
         windows.clear()
         reps = np.concatenate(list(bulk.rep_chunks(n, t)))
-        assert len(windows) == count and sum(windows) == len(X)
+        assert len(windows) == count and sum(windows) == listed
         assert max(windows) <= bulk._CHUNK
         assert np.array_equal(reps, X[scan(X) == t])
+    assert len(_column1_filter(S10)) == 558_661
+
+
+def test_t_n_windows_list_column_one_candidates(monkeypatch):
+    # The t = n windows are the column-1 filter of S_{n-1}, in
+    # lexicographic order.  The x(1) >= 2 part, 21,510 rows at n = 10,
+    # fills one default window and is split over several 1000-row ones.
+    for chunk in (bulk._CHUNK, 1000):
+        monkeypatch.setattr(bulk, "_CHUNK", chunk)
+        for n in range(2, 11):
+            size = math.factorial(n - 1)
+            windows = list(bulk._windows(n, n, size))
+            assert max(map(len, windows)) <= chunk
+            assert np.array_equal(np.concatenate(windows), _column1_filter(bulk.perm_block(n, 0, size)))
+        assert (sum(w[0, 1] >= 2 for w in windows) > 1) == (chunk == 1000)
 
 
 def test_one_sigma_block_fits_a_window():
@@ -238,6 +266,22 @@ def test_rep_chunks_bound_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20, (call.__name__, peak)
+
+
+def test_t_n_stream_bounds_memory():
+    # Draining rep_chunks(11, 11) peaked at 20.62 MiB of tracemalloc when
+    # it listed all 10! rows of S_10 in windows of _CHUNK rows (suffix
+    # table cached).  The candidate listing holds a window too, and the
+    # pruned expansion's bounded levels beside it, and peaks no higher.
+    bulk.perm_block(11, 0, 1)
+    tracemalloc.start()
+    try:
+        for _ in bulk.rep_chunks(11, 11):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.7 * 2**20, peak
 
 
 def test_seeded_rows_workload_guard():
