@@ -29,7 +29,9 @@ S_{n-1} (split over every t at once) all read that stream's windows,
 so the rows they list are bounded by the window size.
 Every comparison of a shifted row (the scan, the exactness filter, the
 search for the inverting shift) goes through one lexicographic
-comparison that reads column 1 first and compares whole rows on ties.
+comparison: column 1, then column 2, then whole rows on ties.  Residue
+differences a - b mod n wrap by adding n under a sign mask, in their own
+dtype, never by integer %.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, so each
 (member, shift) pair is compared on a few columns of x and x^{-1} and
@@ -179,11 +181,23 @@ def perm_block(n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _wrap(d: np.ndarray, n: int) -> np.ndarray:
+    # d mod n, in place, for a difference d = a - b of residues in [0, n)
+    # (so -n < d < n) in a signed dtype: n is added where d < 0.  The sign
+    # mask d >> (bits - 1) is -1 there and 0 elsewhere, so mask & n is the
+    # n to add, in one temporary of d's dtype.  Integer % costs about 30
+    # times as much on int8 rows.
+    wrap = d >> (8 * d.itemsize - 1)
+    wrap &= n
+    d += wrap
+    return d
+
+
 def shift_rows(X: np.ndarray, l: int) -> np.ndarray:
     """Row-wise x <| a^l: (x <| a^l)(u) = x(u+l) - x(l) mod n."""
     n = X.shape[1]
     cols = (np.arange(n) + l) % n
-    return (X[:, cols] - X[:, [l % n]]) % n
+    return _wrap(X[:, cols] - X[:, [l % n]], n)
 
 
 def _shift_cmp(
@@ -192,13 +206,18 @@ def _shift_cmp(
     # Per row (of `rows`, all by default): the sign of x <| a^l - y in
     # lexicographic order, y = x unless another array Y is given.  Column 0
     # is 0 on both sides, so column 1, x(l+1) - x(l) against y(1), decides
-    # unless it ties; only ties are compared in full, at their first
-    # differing column.
+    # unless it ties; then column 2, x(l+2) - x(l) against y(2), unless it
+    # ties too; only rows tied on both are compared in full, at their
+    # first differing column.
     n = X.shape[1]
     Y = X if Y is None else Y
     at = slice(None) if rows is None else rows
-    out = np.sign((X[at, (l + 1) % n] - X[at, l % n]) % n - Y[at, 1])
+    out = np.sign(_wrap(X[at, (l + 1) % n] - X[at, l % n], n) - Y[at, 1])
     tie = np.flatnonzero(out == 0)
+    if n > 2 and len(tie):
+        r = tie if rows is None else rows[tie]
+        out[tie] = np.sign(_wrap(X[r, (l + 2) % n] - X[r, l % n], n) - Y[r, 2])
+        tie = tie[out[tie] == 0]
     if len(tie):
         r = tie if rows is None else rows[tie]
         A, B = shift_rows(X[r], l), Y[r]
@@ -273,10 +292,11 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     found, _s, u1, u2 = inversion_rows(X, t)
     # All characters i at once: (x, i) is nonzero where i*u1 = 0 mod m,
     # and there 2*i*u2 = 0 mod m, so the sign is +1 where i*u2 = 0 and -1
-    # where i*u2 = m/2 (odd m leaves only +1).
-    i = np.arange(m)
-    nz = found[:, None] & (np.outer(u1, i) % m == 0)
-    k = np.outer(u2, i) % m
+    # where i*u2 = m/2 (odd m leaves only +1).  Row u of one (m, m) table
+    # holds i*u mod m for every i, gathered by u1 and u2.
+    table = np.outer(np.arange(m), np.arange(m)) % m
+    nz = found[:, None] & (table[u1] == 0)
+    k = table[u2]
     if ((2 * k[nz]) % m).any():
         raise ArithmeticError("i*u2 escaped {0, m/2} although i*u1 = 0")
     out = nz.astype(np.int8)
@@ -288,7 +308,7 @@ def _difference_codes(A: np.ndarray, n: int, dtype) -> np.ndarray:
     # Per column c, the consecutive differences D[c+j] = A(c+j+1) - A(c+j)
     # mod n for j < _KEY_COLS, packed base n into one integer of `dtype`.
     ext = A[:, np.arange(n + _KEY_COLS) % n].astype(dtype)
-    D = (ext[:, 1:] - ext[:, :-1]) % n
+    D = _wrap(ext[:, 1:] - ext[:, :-1], n)
     code = D[:, :n]
     for j in range(1, _KEY_COLS):
         code = code * n + D[:, j : j + n]
@@ -331,7 +351,8 @@ def transporter_classes(X: np.ndarray, t: int):
         xl = xflat[base + l % n].astype(np.intp)
         xic = iflat[base + c].astype(np.intp)
         for u in range(_KEY_COLS + 1, n):
-            ok = (iflat[base + (c + u) % n] - xic) % n == (xflat[base + (l + u) % n] - xl) % n
+            inv_u = _wrap(iflat[base + (c + u) % n] - xic, n)
+            ok = inv_u == _wrap(xflat[base + (l + u) % n] - xl, n)
             r, l, c, base, xl, xic = r[ok], l[ok], c[ok], base[ok], xl[ok], xic[ok]
         inv = c == xl  # b = c - x(l) = 0: y^{-1} = y
         inv_rows.append(lo + r[inv])

@@ -110,6 +110,85 @@ def test_shift_and_inverse_rows():
         assert tuple(int(v) for v in row) == inverse(x).word
 
 
+def test_wrap_matches_mod():
+    # (a - b) mod n by one masked add, in the dtype of a - b: every
+    # residue pair at the last int8 degree, a sample at the last int16
+    # degree (its edges included), and intp.
+    a, b = np.divmod(np.arange(120 * 120), 120)
+    cases = [(a.astype(np.int8), b.astype(np.int8), 120)]
+    rng = np.random.default_rng(0)
+    edges = np.array([0, 1, 32765, 32766], dtype=np.int16)
+    a, b = rng.integers(0, 32767, size=(2, 10**5)).astype(np.int16)
+    cases.append((np.r_[np.repeat(edges, 4), a], np.r_[np.tile(edges, 4), b], 32767))
+    big = 2**40 + 15
+    cases.append((*rng.integers(0, big, size=(2, 10**4)).astype(np.intp), big))
+    for a, b, n in cases:
+        d = a - b
+        assert bulk._wrap(d, n) is d and d.dtype == a.dtype  # in place, no upcast
+        assert np.array_equal(d, (a.astype(object) - b.astype(object)) % n)
+
+
+def _lex_sign(x, l, y):
+    # The scalar sign of x <| a^l - y in lexicographic order.
+    n = len(x)
+    shifted = tuple((x[(u + l) % n] - x[l % n]) % n for u in range(n))
+    return (shifted > y) - (shifted < y)
+
+
+def _tied_rows(X, l, count, rng):
+    # X with `count` perturbed copies of each row: one swap of two
+    # positions outside {0, 1, l, l+1}, of values outside {0, 1}.  If x
+    # ties x <| a^l with x or x^{-1} on column 1, the copies do too; they
+    # mostly tie on column 2 as well and differ further on.
+    n = X.shape[1]
+    out = [X]
+    for x in X:
+        free = [p for p in range(n) if p not in (0, 1, l % n, (l + 1) % n) and x[p] > 1]
+        for _ in range(count if len(free) > 1 else 0):
+            p, q = rng.sample(free, 2)
+            y = x.copy()
+            y[[p, q]] = y[[q, p]]
+            out.append(y[None])
+    return np.concatenate(out)
+
+
+def test_shift_cmp_matches_scalar_on_ties():
+    # _shift_cmp decides on column 1, then column 2, then whole rows:
+    # against the scalar comparison, for y = x and y = x^{-1}, on rows
+    # whose shift ties on column 1, on columns 1 and 2, and on everything.
+    # The tied rows start from x <| a^t = x (a^t-stabilized rows) and
+    # x <| a^t = x^{-1} (involutions among them), at l = t.
+    rng = random.Random(19)
+    cases = [
+        (n, l, bulk.perm_block(n, 0, math.factorial(n - 1)))
+        for n in (2, 3, 7)
+        for l in range(1, n + 1)
+    ]
+    for n, ts in ((12, (2, 3, 4, 6)), (130, (2,))):  # int8 and int16 rows
+        for t in ts:
+            cases.append((n, t, _tied_rows(bulk.stabilized_rows(n, t), t, 2, rng)))
+            cases.append((n, t, _tied_rows(bulk.exact_involution_rows(n, t), t, 8, rng)))
+    seen = Counter()
+    for n, l, X in cases:
+        for kind, Y in (("x", X), ("inverse", bulk.inverse_rows(X))):
+            want = [_lex_sign(x.tolist(), l, tuple(y.tolist())) for x, y in zip(X, Y)]
+            assert bulk._shift_cmp(X, l, Y).tolist() == want
+            rows = np.flatnonzero(np.arange(len(X)) % 3 != 1)
+            assert bulk._shift_cmp(X, l, Y, rows).tolist() == [want[r] for r in rows]
+            if Y is X:
+                assert bulk._shift_cmp(X, l).tolist() == want
+            S = bulk.shift_rows(X, l)
+            tie1, tie2 = S[:, 1] == Y[:, 1], (S[:, 1:3] == Y[:, 1:3]).all(axis=1)
+            whole = (S == Y).all(axis=1)
+            seen[n, kind, "column 1 only"] += int((tie1 & ~tie2).sum())
+            seen[n, kind, "columns 1, 2"] += int((tie2 & ~whole).sum())
+            seen[n, kind, "whole"] += int(whole.sum())
+    for n in (12, 130):
+        for kind in ("x", "inverse"):
+            for tie in ("column 1 only", "columns 1, 2", "whole"):
+                assert seen[n, kind, tie] > 0, (n, kind, tie)
+
+
 def test_row_width_limit():
     # The int16 row type holds residues and the modulus up to n = 32767.
     n = 32767
