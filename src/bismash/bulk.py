@@ -27,11 +27,13 @@ expansion; 14.0% of S_11 passes (5,593,455 of 39,916,800 rows at
 n = 12).  The census, the indicator tables and the full sweep over
 S_{n-1} (split over every t at once) all read that stream's windows,
 so the rows they list are bounded by the window size.
-Every comparison of a shifted row (the scan, the exactness filter, the
-search for the inverting shift) goes through one lexicographic
-comparison: column 1, then column 2, then whole rows on ties.  Residue
-differences a - b mod n wrap by adding n under a sign mask, in their own
-dtype, never by integer %.
+The scan and the exactness filter compare shifted rows through one
+lexicographic comparison: column 1, then column 2, then whole rows on
+ties.  The search for the inverting shift of the reduced route tests an
+equality, x o (x <| a^l) = 1, so it builds no inverse: it reads the last
+column of the composition, then the one before it, then whole rows on
+ties.  Residue differences a - b mod n wrap by adding n under a sign
+mask, in their own dtype, never by integer %.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, so each
 (member, shift) pair is compared on a few columns of x and x^{-1} and
@@ -227,27 +229,32 @@ def _shift_cmp(
     return out
 
 
-def canonical_orders(X: np.ndarray) -> np.ndarray:
-    """Per row: its stabilizer order t if the row is the lexicographically
-    smallest member of its orbit, else 0.
+def canonical_orders(X: np.ndarray, t: int | None = None) -> np.ndarray:
+    """Per row: its stabilizer order if the row is the lexicographically
+    smallest member of its orbit, else 0.  The rows must be stabilized by
+    a^t (t = n, every row, by default).
 
-    One scan compares x with x <| a^l for l = 1, 2, ...: a row drops out
+    One scan compares x with x <| a^l for l = 1, ..., t-1: a row drops out
     (0) at the first shift that is smaller, and the first shift equal to
-    it is t, since x <| a^l = x iff t | l and the orbit's t members are
-    x <| a^l for l < t.  Each row leaves at its first smaller or equal
-    shift, so the expected work decays harmonically in l.
+    it is its order s, since x <| a^l = x iff s | l and the orbit's s
+    members are x <| a^l for l < s.  A row of order s < t ties at
+    l = s <= t-1, so a row left after l = t-1 has every one of its t-1
+    shifts larger: it is the smallest member of an orbit of order t, and
+    is given t without the l = t comparison, which every a^t-stabilized
+    row would tie.  Each row leaves at its first smaller or equal shift,
+    so the expected work decays harmonically in l.
     """
-    n = X.shape[1]
-    t = np.zeros(len(X), dtype=np.int16)
+    orders = np.zeros(len(X), dtype=np.int16)
     rows = np.arange(len(X))
-    for l in range(1, n):
+    t = X.shape[1] if t is None else t
+    for l in range(1, t):
         if not len(rows):
             break
         c = _shift_cmp(X, l, rows=rows)
-        t[rows[c == 0]] = l
+        orders[rows[c == 0]] = l
         rows = rows[c > 0]
-    t[rows] = n
-    return t
+    orders[rows] = t
+    return orders
 
 
 def inverse_rows(X: np.ndarray) -> np.ndarray:
@@ -259,10 +266,33 @@ def inverse_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inverting_hits(X: np.ndarray, l: int) -> np.ndarray:
+    # The rows with x <| a^l = x^{-1}, tested as x((x <| a^l)(u)) = u for
+    # every u.  An equality may start from any column: the last, u = n-1,
+    # then u = n-2 on its ties, each read through one flat gather
+    # x(y) = X.ravel()[base + y]; only rows that pass both are composed
+    # in full.  The last columns also avoid the ties of the first ones:
+    # at l = n the test is x = x^{-1}, which every row with x(1), x(2) =
+    # 1, 2 passes on columns 1 and 2.
+    N, n = X.shape
+    flat, base = X.ravel(), np.arange(0, N * n, n)
+    xl = X[:, l % n]
+    hit = np.flatnonzero(flat[base + _wrap(X[:, (l - 1) % n] - xl, n)] == n - 1)
+    if n > 2:
+        y = _wrap(X[hit, (l - 2) % n] - xl[hit], n)
+        hit = hit[flat[base[hit] + y] == n - 2]
+    y = shift_rows(X[hit], l)
+    return hit[(flat[base[hit, None] + y] == np.arange(n)).all(axis=1)]
+
+
 def inversion_rows(X: np.ndarray, t: int):
     """(in_orbit, s, u1, u2) per row; all rows must have stabilizer order t.
 
-    u2 is 0 on rows whose inverse is outside the orbit (and unused there).
+    s is the shift l in 1..t with x <| a^l = x^{-1}, found without building
+    x^{-1}: the composition x o (x <| a^l) is compared with the identity
+    on its last column, then on the one before it, and only rows that
+    match on both are composed in full.  s and u2 are 0 on rows whose
+    inverse is outside the orbit (u2 is unused there).
     """
     n = X.shape[1]
     m = n // t
@@ -270,19 +300,17 @@ def inversion_rows(X: np.ndarray, t: int):
     if (xt % t).any():
         raise AssertionError("x(t) not a multiple of t; wrong t for these rows")
     u1 = ((xt + t) // t) % m
-    Xi = inverse_rows(X)
     s = np.zeros(len(X), dtype=np.int16)
-    u2 = np.zeros(len(X), dtype=np.int64)
     for l in range(1, t + 1):
         # x <| a^l = x^{-1} for at most one l in 1..t.
-        hit = np.flatnonzero(_shift_cmp(X, l, Xi) == 0)
-        if len(hit):
-            vals = X[hit, l % n].astype(np.int64) + l
-            if (vals % t).any():
-                raise AssertionError("x(s)+s not a multiple of t")
-            s[hit] = l
-            u2[hit] = (vals // t) % m
-    return s > 0, s, u1, u2
+        s[_inverting_hits(X, l)] = l
+    found = s > 0
+    vals = X[found, s[found] % n].astype(np.int64) + s[found]
+    if (vals % t).any():
+        raise AssertionError("x(s)+s not a multiple of t")
+    u2 = np.zeros(len(X), dtype=np.int64)
+    u2[found] = (vals // t) % m
+    return found, s, u1, u2
 
 
 def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
@@ -572,10 +600,22 @@ def _windows(n: int, t: int, size: int):
 
 def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
     # The rows of an a^t-stabilized stratum whose stabilizer is exactly
-    # <a^t>: no shift by t/p, p a prime factor of t, fixes them.
+    # <a^t>: no shift by t/p, p a prime factor of t, fixes them.  Each
+    # shift is compared on every row (a slice reads faster than gathered
+    # rows), and the survivors are moved to the front of X in place, block
+    # by block, so the stratum is never held twice; X is the caller's own
+    # fresh array.  A block is written at or before where it was read.
+    keep = np.ones(len(X), dtype=bool)
     for p in prime_factors(t):
-        X = X[_shift_cmp(X, t // p) != 0]
-    return X
+        keep &= _shift_cmp(X, t // p) != 0
+    if keep.all():
+        return X
+    at = 0
+    for lo in range(0, len(X), _BLOCK):
+        block = X[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
+        X[at : at + len(block)] = block
+        at += len(block)
+    return X[:at]
 
 
 def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
@@ -659,18 +699,19 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     stream then lists the a^t-stabilized rows in windows of at most
     ``_CHUNK`` rows (seed groups of whole sigma blocks of one unit j,
     consecutive small groups sharing a window, for t < n) and yields each
-    window's rows X[canonical_orders(X) == t], so memory is bounded by the
-    window size.  For t = n the windows hold only the candidates of the
-    column-1 lemma (module docstring), x(1) <= x(l+1) - x(l) mod n for
-    every l, in lexicographic order: every orbit's smallest member, but
-    not all of S_{n-1}.  The guard still counts the (n-1)! rows.
+    window's rows X[canonical_orders(X, t) == t], so memory is bounded by
+    the window size.  For t = n the windows hold only the candidates of
+    the column-1 lemma (module docstring), x(1) <= x(l+1) - x(l) mod n
+    for every l, in lexicographic order: every orbit's smallest member,
+    but not all of S_{n-1}.  The guard still counts the (n-1)! rows.
     ``canonical_orders`` judges each row alone, so the windows change no
-    result.  No exactness pass is needed: on an
-    a^t-stabilized row of exact order s | t the scan returns s or 0, never
-    t when s < t, so its value t picks the canonical rows of exact order t.
+    result.  No exactness pass is needed: told t, the scan stops at
+    l = t - 1, and a row of exact order s < t (s | t) ties at l = s, so it
+    gets s or 0, never t; its value t picks the canonical rows of exact
+    order t.
     """
     size = _stratum(n, t, _stabilized_M, max_work)
-    return (X[canonical_orders(X) == t] for X in _windows(n, t, size))
+    return (X[canonical_orders(X, t) == t] for X in _windows(n, t, size))
 
 
 def _tally(values: np.ndarray, t: int) -> dict[int, int]:

@@ -97,6 +97,31 @@ def test_canonical_orders_match_scalar():
             assert stabilizer(row).t == t
 
 
+# The ten cells of acceptance criterion 6.
+CENSUS_CELLS = [(12, 2), (12, 6), (16, 2), (16, 4), (20, 2), (24, 2), (24, 4), (24, 6), (36, 6), (48, 4)]
+
+
+def test_canonical_orders_stop_before_t(monkeypatch):
+    # Told that its rows are a^t-stabilized, the scan stops at l = t - 1
+    # and gives t to the rows left: the same orders as the scan over every
+    # l < n, on every window of the census cells, (12, 4) and (9, 3).  It
+    # reaches l = t - 1 and never compares at l = t.
+    cmp, shifts = bulk._shift_cmp, []
+
+    def counted_cmp(X, l, *args, **kwargs):
+        shifts.append(l)
+        return cmp(X, l, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, "_shift_cmp", counted_cmp)
+    for n, t in [*CENSUS_CELLS, (12, 4), (9, 3)]:
+        size = bulk._stratum(n, t, bulk._stabilized_M, None)
+        for X in bulk._windows(n, t, size):
+            want = bulk.canonical_orders(X)
+            shifts.clear()
+            assert np.array_equal(bulk.canonical_orders(X, t), want), (n, t)
+            assert max(shifts) == t - 1, (n, t)
+
+
 def test_shift_and_inverse_rows():
     n = 8
     X = bulk.perm_block(n, 0, 500)
@@ -217,6 +242,58 @@ def test_inversion_rows_match_scalar():
             assert inv.u2 == int(u2[k])
 
 
+def _composition_ties(X, l, count, rng):
+    # `count` copies of each row with one swap of two positions outside
+    # {0, l-1, l}: where x <| a^l = x^{-1}, the copies' compositions
+    # x o (x <| a^l) often still match the identity on the last column,
+    # and on the one before it, but not on every column.
+    n = X.shape[1]
+    free = [p for p in range(1, n) if p not in ((l - 1) % n, l % n)]
+    out = [X]
+    for x in X:
+        for _ in range(count):
+            p, q = rng.sample(free, 2)
+            y = x.copy()
+            y[[p, q]] = y[[q, p]]
+            out.append(y[None])
+    return np.concatenate(out)
+
+
+def test_inverting_hits_match_inverse_comparison():
+    # The search for x <| a^l = x^{-1} composes x with x <| a^l on the
+    # last column, then the one before it, then whole rows; for every l
+    # in 1..t it finds the rows that compare equal with x^{-1}.
+    rng = random.Random(20)
+    cases = [(n, t, bulk.exact_stabilizer_rows(n, t)) for n, t in ((12, 2), (12, 6), (36, 6))]
+    cases += [(n, n, bulk.perm_block(n, 0, math.factorial(n - 1))) for n in (2, 3)]
+    int16 = np.concatenate([bulk.exact_stabilizer_rows(130, 2), bulk.exact_involution_rows(130, 2)])
+    cases.append((130, 2, int16))
+    ones = next(bulk._windows(11, 11, math.factorial(10)))
+    assert (ones[:, 1] == 1).all() and len(ones) == math.factorial(9)
+    cases.append((11, 11, ones))
+    # Rows tied with the identity on the last column only, and on the
+    # last two only: perturbed involutions, x <| a^t = x = x^{-1}.
+    for n, ts in ((12, (2, 3, 4, 6)), (130, (2,))):
+        for t in ts:
+            cases.append((n, t, _composition_ties(bulk.exact_involution_rows(n, t), t, 8, rng)))
+    seen = Counter()
+    for n, t, X in cases:
+        Xi = bulk.inverse_rows(X)
+        for l in range(1, t + 1):
+            want = np.flatnonzero(bulk._shift_cmp(X, l, Xi) == 0)
+            assert np.array_equal(bulk._inverting_hits(X, l), want), (n, t, l)
+            C = np.take_along_axis(X, bulk.shift_rows(X, l), axis=1)
+            last = C[:, n - 1] == n - 1
+            both = last & (C[:, n - 2] == n - 2)
+            seen[n, "last only"] += int((last & ~both).sum())
+            seen[n, "last two only"] += int((both & ~(C == np.arange(n)).all(axis=1)).sum())
+            seen[n, "whole"] += len(want)
+    assert seen[11, "whole"] > 0 and seen[130, "whole"] > 0
+    for n in (12, 130):
+        for tie in ("last only", "last two only", "whole"):
+            assert seen[n, tie] > 0, (n, tie)
+
+
 def test_indicator_rows_match_scalar():
     for n, t in [(8, 4), (9, 3), (12, 2), (12, 6)]:
         X = bulk.exact_stabilizer_rows(n, t)
@@ -276,9 +353,9 @@ def test_rep_chunks_split_changes_nothing(monkeypatch):
     windows = []
     scan = bulk.canonical_orders
 
-    def counted_scan(X):
+    def counted_scan(X, *args):
         windows.append(len(X))
-        return scan(X)
+        return scan(X, *args)
 
     monkeypatch.setattr(bulk, "canonical_orders", counted_scan)
     X36, X48 = bulk.stabilized_rows(36, 6), bulk.stabilized_rows(48, 4)
@@ -329,13 +406,15 @@ def test_one_sigma_block_fits_a_window():
 
 def test_rep_chunks_bound_memory():
     # tracemalloc peaks at (36, 6), 1,866,240 rows of 36 bytes (64.1 MiB).
-    # The whole-stratum views hold every row, and peak no higher than
-    # they did before the stream (69.28 and 144.12 MiB); the census holds
-    # at most two windows of _CHUNK rows, the one it scans and the next
-    # being built (109.8 MiB when it filtered the whole view at once).
+    # The whole-stratum views hold every row: the listing peaks at 69.28
+    # MiB, and the exactness filter, which moves the exact rows to the
+    # front in place, at 70.86 MiB (144.12 when it copied the stratum per
+    # prime factor of t); the census holds at most two windows of _CHUNK
+    # rows, the one it scans and the next being built (109.8 MiB when it
+    # filtered the whole view at once).
     for call, bound_mib in [
         (bulk.stabilized_rows, 69.3),
-        (bulk.exact_stabilizer_rows, 144.2),
+        (bulk.exact_stabilizer_rows, 71.0),
         (bulk.census_by_dimension, 64),
     ]:
         tracemalloc.start()

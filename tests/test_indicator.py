@@ -150,9 +150,9 @@ def test_indicator_table_window_split_changes_nothing(monkeypatch):
     windows = []
     scan = bulk.canonical_orders
 
-    def counted_scan(X):
+    def counted_scan(X, *args):
         windows.append(len(X))
-        return scan(X)
+        return scan(X, *args)
 
     monkeypatch.setattr(bulk, "canonical_orders", counted_scan)
     monkeypatch.setattr(bulk, "_CHUNK", 1 << 15)
