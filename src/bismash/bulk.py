@@ -35,11 +35,14 @@ column of the composition, then the one before it, then whole rows on
 ties.  Residue differences a - b mod n wrap by adding n under a sign
 mask, in their own dtype, never by integer %.
 The brute-force oracle works from one inverse per row: the inverse of
-every orbit member x <| a^l is a column rotation of x^{-1}, so each
-(member, shift) pair is compared on a few columns of x and x^{-1} and
-only the pairs that match there are compared in full.  The same scan
-finds the involutions: a member y is one exactly when y^{-1} <| a^0 = y,
-that is, when its transporter set contains b = 0.  Nothing here is
+every orbit member x <| a^l is a column rotation of x^{-1}, and the
+shift is an action, so the transporter columns of member l are those
+of x itself, shifted by l.  One search per row finds the shifts c with
+x^{-1} <| a^c = x, on a few columns first and then on the rest; each
+is expanded to the t pairs (l, c + l mod n), and every pair is compared
+with its member in full before it is counted.  The same pairs give the
+involutions: a member y is one exactly when y^{-1} <| a^0 = y, that is,
+when its transporter set contains b = 0.  Nothing here is
 approximate: the work is integer array arithmetic, and the brute-force
 route reduces its root-of-unity sums through the same integer
 cyclotomic basis matrices as the scalar oracle.
@@ -131,10 +134,10 @@ _CHUNK = 16 * math.factorial(_SUFFIX)
 # n = 12, and larger slices were no faster.
 _SLICE = 1 << 14
 
-# The oracle compares orbit members with shifts of the inverse on codes
-# of this many columns first, in blocks of _BLOCK rows: its (rows, n)
-# codes, comparison masks and candidate lists stay a few MB whatever the
-# chunk size.
+# The oracle compares every shift of x^{-1} with x on codes of this many
+# columns first, in blocks of _BLOCK rows: its (rows, n) codes and
+# comparison mask, and the t pairs expanded from each match, stay a few
+# MB whatever the chunk size.
 _KEY_COLS = 3
 _BLOCK = 1 << 16
 
@@ -202,27 +205,23 @@ def shift_rows(X: np.ndarray, l: int) -> np.ndarray:
     return _wrap(X[:, cols] - X[:, [l % n]], n)
 
 
-def _shift_cmp(
-    X: np.ndarray, l: int, Y: np.ndarray | None = None, rows: np.ndarray | None = None
-) -> np.ndarray:
-    # Per row (of `rows`, all by default): the sign of x <| a^l - y in
-    # lexicographic order, y = x unless another array Y is given.  Column 0
-    # is 0 on both sides, so column 1, x(l+1) - x(l) against y(1), decides
-    # unless it ties; then column 2, x(l+2) - x(l) against y(2), unless it
-    # ties too; only rows tied on both are compared in full, at their
-    # first differing column.
+def _shift_cmp(X: np.ndarray, l: int, rows: np.ndarray | None = None) -> np.ndarray:
+    # Per row (of `rows`, all by default): the sign of x <| a^l - x in
+    # lexicographic order.  Column 0 is 0 on both sides, so column 1,
+    # x(l+1) - x(l) against x(1), decides unless it ties; then column 2,
+    # x(l+2) - x(l) against x(2), unless it ties too; only rows tied on
+    # both are compared in full, at their first differing column.
     n = X.shape[1]
-    Y = X if Y is None else Y
     at = slice(None) if rows is None else rows
-    out = np.sign(_wrap(X[at, (l + 1) % n] - X[at, l % n], n) - Y[at, 1])
+    out = np.sign(_wrap(X[at, (l + 1) % n] - X[at, l % n], n) - X[at, 1])
     tie = np.flatnonzero(out == 0)
     if n > 2 and len(tie):
         r = tie if rows is None else rows[tie]
-        out[tie] = np.sign(_wrap(X[r, (l + 2) % n] - X[r, l % n], n) - Y[r, 2])
+        out[tie] = np.sign(_wrap(X[r, (l + 2) % n] - X[r, l % n], n) - X[r, 2])
         tie = tie[out[tie] == 0]
     if len(tie):
         r = tie if rows is None else rows[tie]
-        A, B = shift_rows(X[r], l), Y[r]
+        A, B = shift_rows(X[r], l), X[r]
         first = np.argmax(A != B, axis=1)
         k = np.arange(len(tie))
         out[tie] = np.sign(A[k, first] - B[k, first])
@@ -332,20 +331,21 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _difference_codes(A: np.ndarray, n: int, dtype) -> np.ndarray:
-    # Per column c, the consecutive differences D[c+j] = A(c+j+1) - A(c+j)
-    # mod n for j < _KEY_COLS, packed base n into one integer of `dtype`.
-    ext = A[:, np.arange(n + _KEY_COLS) % n].astype(dtype)
+def _difference_codes(A: np.ndarray, n: int, dtype, width: int) -> np.ndarray:
+    # Per column c < width, the consecutive differences D[c+j] =
+    # A(c+j+1) - A(c+j) mod n for j < _KEY_COLS, packed base n into one
+    # integer of `dtype`.
+    ext = A[:, np.arange(width + _KEY_COLS) % n].astype(dtype)
     D = _wrap(ext[:, 1:] - ext[:, :-1], n)
-    code = D[:, :n]
+    code = D[:, :width]
     for j in range(1, _KEY_COLS):
-        code = code * n + D[:, j : j + n]
+        code = code * n + D[:, j : j + width]
     return code
 
 
 def transporter_classes(X: np.ndarray, t: int):
     """(counts, rows, ls): every transporter of every orbit member, found
-    in one scan.
+    by one search per row.
 
     A transporter of the member y = x <| a^l, l = 1..t, is a b with
     y^{-1} <| a^b = y.  ``counts`` is the (N, n/t) tally, per row, of the
@@ -355,10 +355,17 @@ def transporter_classes(X: np.ndarray, t: int):
 
     With y^{-1}(v) = x^{-1}(v + x(l)) - l and c = b + x(l) the test reads
     x^{-1} <| a^c = x <| a^l, with exponent e = x^{-1}(c) - l + b, so one
-    inverse per row serves every member.  Columns 1.._KEY_COLS of both
-    sides are the consecutive differences of x^{-1} from c and of x from
-    l.  Every (l, c) is compared on codes of those columns, and the pairs
-    that match there are compared on the remaining columns one by one.
+    inverse per row serves every member.  The shift is an action,
+    (x^{-1} <| a^c) <| a^l = x^{-1} <| a^(c+l), so x^{-1} <| a^c = x holds
+    exactly when x^{-1} <| a^(c+l) = x <| a^l: the transporter columns of
+    member l are the columns c of x itself, shifted by l.  The search
+    compares the codes of columns 1.._KEY_COLS of x^{-1} <| a^c, for
+    every c, with the one code of x, and the matches on the remaining
+    columns one by one.  The c found are the shifts carrying x^{-1} onto
+    x: none, or the n/t of a coset of the stabilizer when x^{-1} lies in
+    the orbit of x's t members.  So a row has either 0 or n transporter
+    pairs (l, c + l mod n).  Every pair is compared with y on all n
+    columns before it is tallied; a mismatch raises ArithmeticError.
     """
     n = X.shape[1]
     m = n // t
@@ -366,22 +373,35 @@ def transporter_classes(X: np.ndarray, t: int):
     kt = np.min_scalar_type(-(n**_KEY_COLS))
     counts = np.zeros((len(X), m), dtype=np.intp)
     inv_rows, inv_ls = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    # Matched rows are read twice over, columns u and u + n alike, so the
+    # column c + l + u of a pair needs no reduction mod n.
+    twice = np.arange(2 * n) % n
+    members = np.arange(1, t + 1)
     for lo in range(0, len(X), _BLOCK):
         A, Ai = X[lo : lo + _BLOCK], Xi[lo : lo + _BLOCK]
-        key = _difference_codes(Ai, n, kt)
-        want = _difference_codes(A, n, kt)
-        hits = [np.flatnonzero(key == want[:, [l % n]]) for l in range(1, t + 1)]
-        l = np.repeat(np.arange(1, t + 1), [len(h) for h in hits])
-        r, c = np.divmod(np.concatenate(hits), n)
-        # Residue sums leave the int8/int16 row type, so they run in intp.
-        xflat, iflat = A.ravel(), Ai.ravel()
-        base = r * n
-        xl = xflat[base + l % n].astype(np.intp)
-        xic = iflat[base + c].astype(np.intp)
+        key = _difference_codes(Ai, n, kt, n)
+        r, c = np.divmod(np.flatnonzero(key == _difference_codes(A, n, kt, 1)), n)
+        xflat, iflat = A[r[:, None], twice].ravel(), Ai[r[:, None], twice].ravel()
+        base = np.arange(0, len(r) * 2 * n, 2 * n)
+        # Code matches are confirmed on the remaining columns:
+        # x^{-1}(c + u) - x^{-1}(c) = x(u).
+        xic = iflat[base + c]
         for u in range(_KEY_COLS + 1, n):
-            inv_u = _wrap(iflat[base + (c + u) % n] - xic, n)
-            ok = inv_u == _wrap(xflat[base + (l + u) % n] - xl, n)
-            r, l, c, base, xl, xic = r[ok], l[ok], c[ok], base[ok], xl[ok], xic[ok]
+            ok = _wrap(iflat[base + c + u] - xic, n) == xflat[base + u]
+            r, c, base, xic = r[ok], c[ok], base[ok], xic[ok]
+        # Member l of each row takes c + l mod n (c < n, l <= t <= n).
+        l = np.tile(members, len(r))
+        c = _wrap(np.repeat(c, t) + l - n, n)
+        r, base = np.repeat(r, t), np.repeat(base, t)
+        at_c, at_l = base + c, base + l
+        xic, xl = iflat[at_c], xflat[at_l]
+        # Every pair in full: (y^{-1} <| a^b)(u) = x^{-1}(c + u) - x^{-1}(c)
+        # against y(u) = x(l + u) - x(l), column 0 being 0 on both sides.
+        for u in range(1, n):
+            if (_wrap(iflat[at_c + u] - xic, n) != _wrap(xflat[at_l + u] - xl, n)).any():
+                raise ArithmeticError("a shifted transporter fails the full comparison")
+        # Residue sums leave the int8/int16 row type, so they run in intp.
+        xl, xic = xl.astype(np.intp), xic.astype(np.intp)
         inv = c == xl  # b = c - x(l) = 0: y^{-1} = y
         inv_rows.append(lo + r[inv])
         inv_ls.append(l[inv])
@@ -417,18 +437,20 @@ def _class_indicators(counts: np.ndarray, n: int) -> np.ndarray:
 def bruteforce_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     """(N, n/t) matrix of indicators via the literal averaged character sum.
 
-    Transporters are found by scanning every power of the n-cycle for
-    every orbit member (``transporter_classes``); exponent classes are
-    tallied and the resulting root-of-unity sums reduced exactly through
-    the integer cyclotomic basis matrix.
+    Transporters are every power of the n-cycle that carries an orbit
+    member's inverse onto it (``transporter_classes``: one search per
+    row, expanded over the members and compared in full); exponent
+    classes are tallied and the resulting root-of-unity sums reduced
+    exactly through the integer cyclotomic basis matrix.
     """
     return _class_indicators(transporter_classes(X, t)[0], X.shape[1])
 
 
 def orbit_involution_counts(X: np.ndarray, t: int) -> np.ndarray:
     """Per-row count of involutions among the t orbit members: the members
-    whose transporter set contains b = 0, read off ``transporter_classes``
-    (so a call pays for the whole scan, class tallies included)."""
+    whose transporter set contains b = 0, read off the pairs of
+    ``transporter_classes`` (so a call pays for the whole search, the
+    full comparison of every pair and the class tallies included)."""
     _counts, rows, _ls = transporter_classes(X, t)
     return np.bincount(rows, minlength=len(X)).astype(np.int16)
 
@@ -477,6 +499,11 @@ def _expand(n: int, t: int, groups, size: int, window: int):
     # (one group's rows, if more), and a window is yielded once the next
     # group does not fit, so small groups share one window and one pass
     # over it; `window` = `size` yields the whole stratum as one array.
+    # Every window is written into one buffer, replaced only by a larger
+    # one, so a consumer must be done with a window before it asks for
+    # the next.  One buffer per stratum keeps the peak RSS steady: an
+    # array per window left census runs at one of three peaks, up to
+    # 20 MB apart, as the heap happened to fragment.
     # The residue part is built once per group and the sigma rows, tiled
     # m times, are added over it along whole rows (an add over a
     # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
@@ -489,7 +516,9 @@ def _expand(n: int, t: int, groups, size: int, window: int):
         if at + rows > len(out):
             if at:
                 yield out[:at]
-            out, at = np.empty((max(rows, min(window, size - listed)), n), dtype=out.dtype), 0
+            if rows > len(out):
+                out = np.empty((max(rows, min(window, size - listed)), n), dtype=out.dtype)
+            at = 0
         U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
         lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype)
         view = out[at : at + rows].reshape(len(sigmas), len(U), n)
@@ -575,7 +604,7 @@ def _pruned_blocks(n: int) -> Iterator[np.ndarray]:
 def _windows(n: int, t: int, size: int):
     # The a^t-stabilized rows of a stratum of `size` candidates, in seed
     # order, in windows of at most _CHUNK rows: the seed groups packed into
-    # windows for t < n.  For t = n (a^n = 1 stabilizes everything) only
+    # windows for t < n, each window overwriting the last.  For t = n (a^n = 1 stabilizes everything) only
     # the rows that can be an orbit's smallest member, in lexicographic
     # order: by the column-1 lemma, those with x(1) <= d(l) for every l.
     # Rows with x(1) = 1 all pass, the first (n-2)! rows of the listing of
@@ -628,11 +657,12 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     and refuses more than its limit.  It does not bound memory here: this
     view, like ``exact_stabilizer_rows`` and ``exact_involution_rows``,
     holds the whole stratum at once, n bytes per candidate in the int8
-    row type, and a pass over it adds its own temporaries (the
-    representative scan and the congruence route over the whole of
-    (48, 6) peak at about 80 bytes per candidate, 1228 MB for its 15.7M
-    candidates; some 8 GB at the default limit of 10^8).  ``rep_chunks``
-    lists the same rows in windows of at most ``_CHUNK`` rows.
+    row type, and a pass over it adds its own temporaries (tracemalloc
+    at (36, 6), 1.87M candidates: building the rows peaks at 69 MiB, and
+    the representative scan and the congruence route over the whole
+    stratum raise the peak to 100 MiB, about 56 bytes per candidate).
+    ``rep_chunks`` lists the same rows in windows of at most ``_CHUNK``
+    rows.
     """
     size = _stratum(n, t, _stabilized_M, max_work)
     if t == n:

@@ -153,18 +153,18 @@ def test_wrap_matches_mod():
         assert np.array_equal(d, (a.astype(object) - b.astype(object)) % n)
 
 
-def _lex_sign(x, l, y):
-    # The scalar sign of x <| a^l - y in lexicographic order.
+def _lex_sign(x, l):
+    # The scalar sign of x <| a^l - x in lexicographic order.
     n = len(x)
     shifted = tuple((x[(u + l) % n] - x[l % n]) % n for u in range(n))
-    return (shifted > y) - (shifted < y)
+    return (shifted > x) - (shifted < x)
 
 
 def _tied_rows(X, l, count, rng):
     # X with `count` perturbed copies of each row: one swap of two
     # positions outside {0, 1, l, l+1}, of values outside {0, 1}.  If x
-    # ties x <| a^l with x or x^{-1} on column 1, the copies do too; they
-    # mostly tie on column 2 as well and differ further on.
+    # ties x <| a^l with x on column 1, the copies do too; they mostly tie
+    # on column 2 as well and differ further on.
     n = X.shape[1]
     out = [X]
     for x in X:
@@ -179,10 +179,10 @@ def _tied_rows(X, l, count, rng):
 
 def test_shift_cmp_matches_scalar_on_ties():
     # _shift_cmp decides on column 1, then column 2, then whole rows:
-    # against the scalar comparison, for y = x and y = x^{-1}, on rows
-    # whose shift ties on column 1, on columns 1 and 2, and on everything.
-    # The tied rows start from x <| a^t = x (a^t-stabilized rows) and
-    # x <| a^t = x^{-1} (involutions among them), at l = t.
+    # against the scalar comparison of x <| a^l with x, on rows whose
+    # shift ties on column 1, on columns 1 and 2, and on everything.  The
+    # tied rows start from x <| a^t = x (a^t-stabilized rows, involutions
+    # among them), at l = t.
     rng = random.Random(19)
     cases = [
         (n, l, bulk.perm_block(n, 0, math.factorial(n - 1)))
@@ -195,23 +195,19 @@ def test_shift_cmp_matches_scalar_on_ties():
             cases.append((n, t, _tied_rows(bulk.exact_involution_rows(n, t), t, 8, rng)))
     seen = Counter()
     for n, l, X in cases:
-        for kind, Y in (("x", X), ("inverse", bulk.inverse_rows(X))):
-            want = [_lex_sign(x.tolist(), l, tuple(y.tolist())) for x, y in zip(X, Y)]
-            assert bulk._shift_cmp(X, l, Y).tolist() == want
-            rows = np.flatnonzero(np.arange(len(X)) % 3 != 1)
-            assert bulk._shift_cmp(X, l, Y, rows).tolist() == [want[r] for r in rows]
-            if Y is X:
-                assert bulk._shift_cmp(X, l).tolist() == want
-            S = bulk.shift_rows(X, l)
-            tie1, tie2 = S[:, 1] == Y[:, 1], (S[:, 1:3] == Y[:, 1:3]).all(axis=1)
-            whole = (S == Y).all(axis=1)
-            seen[n, kind, "column 1 only"] += int((tie1 & ~tie2).sum())
-            seen[n, kind, "columns 1, 2"] += int((tie2 & ~whole).sum())
-            seen[n, kind, "whole"] += int(whole.sum())
+        want = [_lex_sign(tuple(x.tolist()), l) for x in X]
+        assert bulk._shift_cmp(X, l).tolist() == want
+        rows = np.flatnonzero(np.arange(len(X)) % 3 != 1)
+        assert bulk._shift_cmp(X, l, rows).tolist() == [want[r] for r in rows]
+        S = bulk.shift_rows(X, l)
+        tie1, tie2 = S[:, 1] == X[:, 1], (S[:, 1:3] == X[:, 1:3]).all(axis=1)
+        whole = (S == X).all(axis=1)
+        seen[n, "column 1 only"] += int((tie1 & ~tie2).sum())
+        seen[n, "columns 1, 2"] += int((tie2 & ~whole).sum())
+        seen[n, "whole"] += int(whole.sum())
     for n in (12, 130):
-        for kind in ("x", "inverse"):
-            for tie in ("column 1 only", "columns 1, 2", "whole"):
-                assert seen[n, kind, tie] > 0, (n, kind, tie)
+        for tie in ("column 1 only", "columns 1, 2", "whole"):
+            assert seen[n, tie] > 0, (n, tie)
 
 
 def test_row_width_limit():
@@ -280,9 +276,10 @@ def test_inverting_hits_match_inverse_comparison():
     for n, t, X in cases:
         Xi = bulk.inverse_rows(X)
         for l in range(1, t + 1):
-            want = np.flatnonzero(bulk._shift_cmp(X, l, Xi) == 0)
+            S = bulk.shift_rows(X, l)
+            want = np.flatnonzero((S == Xi).all(axis=1))
             assert np.array_equal(bulk._inverting_hits(X, l), want), (n, t, l)
-            C = np.take_along_axis(X, bulk.shift_rows(X, l), axis=1)
+            C = np.take_along_axis(X, S, axis=1)
             last = C[:, n - 1] == n - 1
             both = last & (C[:, n - 2] == n - 2)
             seen[n, "last only"] += int((last & ~both).sum())
@@ -409,13 +406,14 @@ def test_rep_chunks_bound_memory():
     # The whole-stratum views hold every row: the listing peaks at 69.28
     # MiB, and the exactness filter, which moves the exact rows to the
     # front in place, at 70.86 MiB (144.12 when it copied the stratum per
-    # prime factor of t); the census holds at most two windows of _CHUNK
-    # rows, the one it scans and the next being built (109.8 MiB when it
-    # filtered the whole view at once).
+    # prime factor of t); the census holds one window buffer of _CHUNK
+    # rows, rewritten window by window, and peaks at 36.53 MiB (53.6 with
+    # a fresh array per window, the one it scanned and the next being
+    # built side by side; 109.8 when it filtered the whole view at once).
     for call, bound_mib in [
         (bulk.stabilized_rows, 69.3),
         (bulk.exact_stabilizer_rows, 71.0),
-        (bulk.census_by_dimension, 64),
+        (bulk.census_by_dimension, 37.0),
     ]:
         tracemalloc.start()
         try:
@@ -478,6 +476,35 @@ def test_transporter_scan_lists_involution_members(monkeypatch):
             assert len(rows) == len(want)
             assert set(zip(rows.tolist(), ls.tolist())) == want
             assert counts.shape == (len(reps), n // t)
+
+
+def test_transporter_classes_tally_every_pair(monkeypatch):
+    # The whole class tally against the definition: for every member
+    # y = x <| a^l and every b in 0..n-1, y^{-1} <| a^b is compared with y
+    # in full, and each transporter b adds its exponent e = y^{-1}(b) + b
+    # to class e/t when t | e.  A row has 0 or n transporter pairs.  A
+    # small block size makes the expanded pairs cross block boundaries.
+    monkeypatch.setattr(bulk, "_BLOCK", 53)
+    cases = [
+        (n, t, np.concatenate(list(bulk.rep_chunks(n, t))))
+        for n in range(2, 10)
+        for t in divisors(n)
+    ]
+    cases += [(n, t, next(bulk.rep_chunks(n, t))) for n, t in ((24, 6), (16, 4))]
+    for n, t, reps in cases:
+        want = np.zeros((len(reps), n // t), dtype=np.intp)
+        pairs = np.zeros(len(reps), dtype=np.intp)
+        for l in range(1, t + 1):
+            Y = bulk.shift_rows(reps, l)
+            Yi = bulk.inverse_rows(Y)
+            for b in range(n):
+                hit = (bulk.shift_rows(Yi, b) == Y).all(axis=1)
+                pairs += hit
+                e = (Yi[:, b].astype(np.intp) + b) % n
+                r = np.flatnonzero(hit & (e % t == 0))
+                np.add.at(want, (r, e[r] // t), 1)
+        assert set(pairs.tolist()) <= {0, n}, (n, t)
+        assert np.array_equal(bulk.transporter_classes(reps, t)[0], want), (n, t)
 
 
 def test_orbit_rep_mask_keeps_canonical_reps_past_degree_16():
