@@ -18,11 +18,14 @@ before any row is built.  One stream, ``rep_chunks``, lists the
 a^t-stabilized rows in windows of at most ``_CHUNK`` rows and keeps the
 smallest member of each orbit of order t: the scan of the shifts
 x <| a^l that finds it also reads off its exact stabilizer order, so no
-exactness pass precedes it.  At t = n the stream lists candidates, not
-all of S_{n-1}, by the column-1 lemma: column 1 of x <| a^l is
+exactness pass precedes it.  The stream lists candidates, not the
+whole stratum, by the column-1 lemma: column 1 of x <| a^l is
 d(l) = x(l+1) - x(l) mod n, so an orbit's smallest member has
-x(1) <= d(l) for every l, the closing d(n-1) = -x(n-1) included.  Rows
-with x(1) = 1 all pass, and those with x(1) >= 2 come from a pruned
+x(1) <= d(l) for every l, the closing d(n-1) = -x(n-1) included.  For
+t < n, d is t-periodic, so the test reads the first period of the seed
+only, and each seed group writes just the rows that pass: 18.7% of the
+stratum at (36, 6) (349,705 of 1,866,240 rows).  At t = n, rows with
+x(1) = 1 all pass, and those with x(1) >= 2 come from a pruned
 expansion; 14.0% of S_11 passes (5,593,455 of 39,916,800 rows at
 n = 12).  The census, the indicator tables and the full sweep over
 S_{n-1} (split over every t at once) all read that stream's windows,
@@ -491,40 +494,88 @@ def _stratum(n: int, t: int, stabilized, max_work: int | None) -> int:
     return size
 
 
-def _expand(n: int, t: int, groups, size: int, window: int):
+def _column1_keep(t: int, m: int, j: int, sigmas: np.ndarray, U: np.ndarray) -> np.ndarray:
+    # keep[s, k]: whether the row of sigma s and u row k passes the
+    # column-1 lemma, x(1) <= d(l) = x(l+1) - x(l) mod n for l = 1..t-1;
+    # d is t-periodic, so these are all.  With x(w) = t*u_w + sigma(w),
+    # u_t = j and sigma(t) = 0, write sigma(l+1) - sigma(l) = c*t + r,
+    # c in {-1, 0}, 0 <= r < t: then d(l) = t*delta + r with
+    # delta = u_{l+1} - u_l + c mod m, and x(1) <= d(l) reads
+    # u_1 + [sigma(1) > r] <= delta.  The sigma part is a code
+    # 2*(c < 0) + [sigma(1) > r] in 0..3 per (sigma, l); the u part a
+    # (4, len(U)) table of the four outcomes per l, gathered by code.
+    nxt = np.arange(2, t + 1) % t  # sigma(l+1), sigma(t) = sigma(0) = 0
+    ds = sigmas[:, nxt].astype(np.intp) - sigmas[:, 1:]
+    code = 2 * (ds < 0) + (sigmas[:, 1:2] > _wrap(ds.copy(), t))
+    du = np.empty((t - 1, len(U)), dtype=np.intp)  # u_{l+1} - u_l
+    du[:-1] = (U[:, 1:] - U[:, :-1]).T
+    du[-1] = j - U[:, -1]
+    d0, d1, u1 = _wrap(du.copy(), m), _wrap(du - 1, m), U[:, 0]
+    ok = np.array([u1 <= d0, u1 < d0, u1 <= d1, u1 < d1]).transpose(1, 0, 2)
+    keep = ok[0][code[:, 0]]
+    for l in range(1, t - 1):
+        keep &= ok[l][code[:, l]]
+    return keep
+
+
+def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = False):
     # Yields the rows x(q*t + w) = t*((q*j + u_w) mod m) + sigma(w),
     # m = n/t and u_0 = 0, of the seed groups (j, sigmas, U): every sigma
     # row of the block with every u row of U, sigma-major, in group order.
-    # Groups are written one after another into windows of `window` rows
-    # (one group's rows, if more), and a window is yielded once the next
-    # group does not fit, so small groups share one window and one pass
-    # over it; `window` = `size` yields the whole stratum as one array.
+    # With `column1`, only the rows that pass the column-1 lemma
+    # (``_column1_keep``), still in seed order.
+    # Groups are packed by their seeds into windows of `window` seeds
+    # (one group's, if more), and a window is yielded once the next
+    # group's seeds do not fit, so small groups share one window and one
+    # pass over it; `window` = `size` yields the whole stratum as one
+    # array.  The windows are the same with or without `column1`; the
+    # workload guard and the count below check seeds, not rows written.
     # Every window is written into one buffer, replaced only by a larger
     # one, so a consumer must be done with a window before it asks for
     # the next.  One buffer per stratum keeps the peak RSS steady: an
     # array per window left census runs at one of three peaks, up to
-    # 20 MB apart, as the heap happened to fragment.
+    # 20 MB apart, as the heap happened to fragment.  The buffer holds a
+    # window's seeds, or with `column1` only its kept rows (a fifth of
+    # the seeds at (36, 6)), grown as groups add to the window.
     # The residue part is built once per group and the sigma rows, tiled
     # m times, are added over it along whole rows (an add over a
     # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
-    # the groups must fill the `size` candidates exactly.
+    # the kept rows take their residue rows and add their sigma rows over
+    # a (rows, m, t) view, so no tiled sigma row is copied per kept row.
+    # The groups must fill the `size` candidates exactly.
     m = n // t
     q = np.arange(m)[:, None]
-    out, at, listed = np.empty((0, n), dtype=_dtype(n)), 0, 0
+    out, at, filled, cap, listed = np.empty((0, n), dtype=_dtype(n)), 0, 0, 0, 0
     for j, sigmas, U in groups:
-        rows = len(sigmas) * len(U)
-        if at + rows > len(out):
+        seeds = len(sigmas) * len(U)
+        if filled + seeds > cap:
             if at:
                 yield out[:at]
-            if rows > len(out):
-                out = np.empty((max(rows, min(window, size - listed)), n), dtype=out.dtype)
-            at = 0
+            if seeds > cap:
+                cap = max(seeds, min(window, size - listed))
+            at = filled = 0
+        # At t = 1 there is no l to test: every row is its own orbit.
+        kept = np.nonzero(_column1_keep(t, m, j, sigmas, U)) if column1 and t > 1 else None
+        rows = seeds if kept is None else len(kept[0])
+        if at + rows > len(out):
+            grown = np.empty((cap if kept is None else at + rows, n), dtype=out.dtype)
+            grown[:at] = out[:at]
+            out = grown
         U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
-        lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype)
-        view = out[at : at + rows].reshape(len(sigmas), len(U), n)
-        np.add(lift.reshape(len(U), n), np.tile(sigmas, m)[:, None, :], out=view)
+        lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype).reshape(len(U), n)
+        if kept is None:
+            view = out[at : at + rows].reshape(len(sigmas), len(U), n)
+            np.add(lift, np.tile(sigmas, m)[:, None, :], out=view)
+        else:
+            # mode="clip" lets take write straight into the buffer (the
+            # default mode buffers); the kept u rows index lift's rows.
+            s, k = kept
+            view = np.take(lift, k, axis=0, out=out[at : at + rows], mode="clip")
+            view = view.reshape(rows, m, t)
+            view += sigmas[s][:, None, :]
         at += rows
-        listed += rows
+        filled += seeds
+        listed += seeds
     if at:
         yield out[:at]
     if listed != size:
@@ -602,16 +653,17 @@ def _pruned_blocks(n: int) -> Iterator[np.ndarray]:
 
 
 def _windows(n: int, t: int, size: int):
-    # The a^t-stabilized rows of a stratum of `size` candidates, in seed
-    # order, in windows of at most _CHUNK rows: the seed groups packed into
-    # windows for t < n, each window overwriting the last.  For t = n (a^n = 1 stabilizes everything) only
-    # the rows that can be an orbit's smallest member, in lexicographic
-    # order: by the column-1 lemma, those with x(1) <= d(l) for every l.
-    # Rows with x(1) = 1 all pass, the first (n-2)! rows of the listing of
-    # S_{n-1}; the rest come from the pruned expansion, its blocks packed
-    # into windows.
+    # The a^t-stabilized rows of a stratum of `size` candidates that can
+    # be an orbit's smallest member, by the column-1 lemma those with
+    # x(1) <= d(l) for every l, in windows of at most _CHUNK rows.  For
+    # t < n, the kept rows of the seed groups in seed order, the groups
+    # packed into windows of _CHUNK seeds, each window overwriting the
+    # last.  For t = n (a^n = 1 stabilizes everything), in lexicographic
+    # order: rows with x(1) = 1 all pass, the first (n-2)! rows of the
+    # listing of S_{n-1}; the rest come from the pruned expansion, its
+    # blocks packed into windows.
     if t < n:
-        yield from _expand(n, t, _seed_groups(n, t), size, _CHUNK)
+        yield from _expand(n, t, _seed_groups(n, t), size, _CHUNK, column1=True)
         return
     ones = math.factorial(n - 2)
     for lo in range(0, ones, _CHUNK):
@@ -661,8 +713,8 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     at (36, 6), 1.87M candidates: building the rows peaks at 69 MiB, and
     the representative scan and the congruence route over the whole
     stratum raise the peak to 100 MiB, about 56 bytes per candidate).
-    ``rep_chunks`` lists the same rows in windows of at most ``_CHUNK``
-    rows.
+    ``rep_chunks`` lists only their column-1 candidates, in windows of at
+    most ``_CHUNK`` rows.
     """
     size = _stratum(n, t, _stabilized_M, max_work)
     if t == n:
@@ -725,15 +777,17 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     stream of row arrays: the one way the census, the indicator tables
     and ``construct.enumerate_orbit_reps`` read representatives.
 
-    The workload guard runs on the call, before any row is built.  The
-    stream then lists the a^t-stabilized rows in windows of at most
-    ``_CHUNK`` rows (seed groups of whole sigma blocks of one unit j,
-    consecutive small groups sharing a window, for t < n) and yields each
-    window's rows X[canonical_orders(X, t) == t], so memory is bounded by
-    the window size.  For t = n the windows hold only the candidates of
-    the column-1 lemma (module docstring), x(1) <= x(l+1) - x(l) mod n
-    for every l, in lexicographic order: every orbit's smallest member,
-    but not all of S_{n-1}.  The guard still counts the (n-1)! rows.
+    The workload guard runs on the call, before any row is built, and
+    counts seeds: every a^t-stabilized row, (n-1)! at t = n.  The stream
+    then lists the stratum's candidates of the column-1 lemma (module
+    docstring), x(1) <= x(l+1) - x(l) mod n for every l, in windows of at
+    most ``_CHUNK`` rows, and yields each window's rows
+    X[canonical_orders(X, t) == t], so memory is bounded by the window
+    size.  For t < n a window covers up to ``_CHUNK`` seeds (seed groups
+    of whole sigma blocks of one unit j, consecutive small groups sharing
+    a window) and holds those that pass, in seed order; for t = n the
+    windows hold the candidates in lexicographic order.  Either way they
+    hold every orbit's smallest member, but not the whole stratum.
     ``canonical_orders`` judges each row alone, so the windows change no
     result.  No exactness pass is needed: told t, the scan stops at
     l = t - 1, and a row of exact order s < t (s | t) ties at l = s, so it

@@ -524,10 +524,18 @@ def ratio_report(t: int, m_values) -> list[dict]:
     if t != 2 and t % 2 == 0:
         raise ValueError("trend report needs odd t or t = 2")
     rows = []
+    # i_(n-1) from one running recurrence, (k, a, b) = (k, i_(k-1), i_k):
+    # the degrees ascend with m in every caller, and a smaller one
+    # restarts it from k = 1.
+    k, a, b = 1, 1, 1
     for m in m_values:
         if m < 2:
             raise ValueError("m must be at least 2")
         n = m * t
+        if n - 1 < k:
+            k, a, b = 1, 1, 1
+        for k in range(k + 1, n):
+            a, b = b, b + (k - 1) * a
         ctx = CountContext(n)
         m_count = count_M(ctx, t)
         if m_count == 0:
@@ -539,7 +547,6 @@ def ratio_report(t: int, m_values) -> list[dict]:
             plus, _zero = count_I_odd(ctx, t)
             minus = 0
         t_count = count_T(ctx, t)
-        inv = involution_count(n - 1)
         e_size = len(e_set(n // t))
         rows.append(
             {
@@ -550,7 +557,7 @@ def ratio_report(t: int, m_values) -> list[dict]:
                 "total": total,
                 "ratio_nonzero": Fraction(plus + minus, total),
                 "t_over_m": Fraction(t_count, m_count),
-                "m_over_inv": Fraction(m_count, inv),
+                "m_over_inv": Fraction(m_count, b),
                 "e_size": e_size,
                 "e_bound": 2 ** (omega(n // t) + 2),
                 "omega": omega(m),

@@ -279,11 +279,15 @@ def test_inverting_hits_match_inverse_comparison():
             S = bulk.shift_rows(X, l)
             want = np.flatnonzero((S == Xi).all(axis=1))
             assert np.array_equal(bulk._inverting_hits(X, l), want), (n, t, l)
-            C = np.take_along_axis(X, S, axis=1)
-            last = C[:, n - 1] == n - 1
-            both = last & (C[:, n - 2] == n - 2)
+            # The composition x o (x <| a^l) on its last two columns, by
+            # flat gathers, and in full only on the rows tied on both.
+            flat, base = X.ravel(), np.arange(0, X.size, n)
+            last = flat[base + S[:, n - 1]] == n - 1
+            both = last & (flat[base + S[:, n - 2]] == n - 2)
+            tied = np.flatnonzero(both)
+            whole = (np.take_along_axis(X[tied], S[tied], axis=1) == np.arange(n)).all(axis=1)
             seen[n, "last only"] += int((last & ~both).sum())
-            seen[n, "last two only"] += int((both & ~(C == np.arange(n)).all(axis=1)).sum())
+            seen[n, "last two only"] += int((~whole).sum())
             seen[n, "whole"] += len(want)
     assert seen[11, "whole"] > 0 and seen[130, "whole"] > 0
     for n in (12, 130):
@@ -335,18 +339,21 @@ def _column1_filter(X):
     # closing d(n-1) = -x(n-1) included: column 1 of x <| a^l is d(l), so
     # an orbit's smallest member passes.
     n = X.shape[1]
-    D = (np.roll(X, -1, axis=1).astype(np.int64) - X) % n
+    D = np.roll(X, -1, axis=1).astype(np.int16) - X
+    D += (D < 0) * np.int16(n)
     return X[(D[:, 1:] >= X[:, [1]]).all(axis=1)]
 
 
 def test_rep_chunks_split_changes_nothing(monkeypatch):
-    # (36, 6): a unit j holds 120 sigmas of 6^5 u rows, 933,120 rows, so
+    # (36, 6): a unit j holds 120 sigmas of 6^5 u rows, 933,120 seeds, so
     # its seed group splits along sigma into two windows.  (48, 4): the
-    # four units' groups of 10,368 rows share one window.  (11, 11): of
-    # the 10! rows of S_10 only the 558,661 column-1 candidates are
-    # listed, in 2 windows: the 9! rows with x(1) = 1, then the pruned
-    # expansion's 195,781.  The stream keeps the rows the filter keeps on
-    # the whole stratum, in order.
+    # four units' groups of 10,368 seeds share one window.  Only the
+    # column-1 candidates are listed: 349,705 of the 1,866,240 rows at
+    # (36, 6), 11,162 of the 41,472 at (48, 4).  (11, 11): of the 10!
+    # rows of S_10 only the 558,661 column-1 candidates are listed, in 2
+    # windows: the 9! rows with x(1) = 1, then the pruned expansion's
+    # 195,781.  The stream keeps the rows the filter keeps on the whole
+    # stratum, in order.
     windows = []
     scan = bulk.canonical_orders
 
@@ -358,8 +365,8 @@ def test_rep_chunks_split_changes_nothing(monkeypatch):
     X36, X48 = bulk.stabilized_rows(36, 6), bulk.stabilized_rows(48, 4)
     S10 = bulk.perm_block(11, 0, math.factorial(10))
     for n, t, X, count, listed in [
-        (36, 6, X36, 4, len(X36)),
-        (48, 4, X48, 1, len(X48)),
+        (36, 6, X36, 4, 349_705),
+        (48, 4, X48, 1, 11_162),
         (11, 11, S10, 2, 558_661),
     ]:
         windows.clear()
@@ -367,7 +374,7 @@ def test_rep_chunks_split_changes_nothing(monkeypatch):
         assert len(windows) == count and sum(windows) == listed
         assert max(windows) <= bulk._CHUNK
         assert np.array_equal(reps, X[scan(X) == t])
-    assert len(_column1_filter(S10)) == 558_661
+        assert len(_column1_filter(X)) == listed
 
 
 def test_t_n_windows_list_column_one_candidates(monkeypatch):
@@ -382,6 +389,37 @@ def test_t_n_windows_list_column_one_candidates(monkeypatch):
             assert max(map(len, windows)) <= chunk
             assert np.array_equal(np.concatenate(windows), _column1_filter(bulk.perm_block(n, 0, size)))
         assert (sum(w[0, 1] >= 2 for w in windows) > 1) == (chunk == 1000)
+
+
+def test_seeded_windows_list_column_one_candidates():
+    # For t < n the windows hold the column-1 filter of the seeded rows,
+    # window by window: the unfiltered expansion of the same seed groups
+    # at the same window size gives the stratum in the windows it was
+    # listed in before the filter, so the count of windows is unchanged
+    # and each filtered window is its unfiltered window's filter, in
+    # order.  Every stratum with n <= 24 under the default guard, plus
+    # (36, 6) and (48, 4); past 2M seeds ((18, 9) and (24, 8), 52
+    # windows) every eighth window is compared in full.
+    cases = [(n, t) for n in range(2, 25) for t in range(1, n) if n % t == 0]
+    for n, t in cases + [(36, 6), (48, 4)]:
+        try:
+            size = bulk._stratum(n, t, bulk._stabilized_M, None)
+        except bulk.WorkloadExceeded:
+            continue
+        seeds = bulk._expand(n, t, bulk._seed_groups(n, t), size, bulk._CHUNK)
+        count = 0
+        for i, (W, X) in enumerate(itertools.zip_longest(bulk._windows(n, t, size), seeds)):
+            assert W is not None and X is not None, (n, t)
+            assert len(X) <= bulk._CHUNK
+            if size <= 2 * 10**6 or i % 8 == 0:
+                assert np.array_equal(W, _column1_filter(X)), (n, t, i)
+            count += 1
+        assert count == {(18, 9): 16, (21, 7): 2, (24, 8): 36, (36, 6): 4}.get((n, t), 1), (n, t)
+    # The count check is on seeds, not on the rows written.
+    size = bulk._stratum(12, 3, bulk._stabilized_M, None)
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ArithmeticError):
+            list(bulk._expand(12, 3, bulk._seed_groups(12, 3), wrong, bulk._CHUNK, column1=True))
 
 
 def test_one_sigma_block_fits_a_window():
@@ -406,14 +444,16 @@ def test_rep_chunks_bound_memory():
     # The whole-stratum views hold every row: the listing peaks at 69.28
     # MiB, and the exactness filter, which moves the exact rows to the
     # front in place, at 70.86 MiB (144.12 when it copied the stratum per
-    # prime factor of t); the census holds one window buffer of _CHUNK
-    # rows, rewritten window by window, and peaks at 36.53 MiB (53.6 with
-    # a fresh array per window, the one it scanned and the next being
-    # built side by side; 109.8 when it filtered the whole view at once).
+    # prime factor of t); the census holds one window buffer of the
+    # window's column-1 candidates, at most 133,776 rows, rewritten window
+    # by window, and peaks at 21.0-21.6 MiB in the reduced route over a
+    # window's 119,555 representatives (36.53 with buffers of _CHUNK
+    # rows, every seeded row listed; 53.6 with a fresh array per window;
+    # 109.8 when it filtered the whole view at once).
     for call, bound_mib in [
         (bulk.stabilized_rows, 69.3),
         (bulk.exact_stabilizer_rows, 71.0),
-        (bulk.census_by_dimension, 37.0),
+        (bulk.census_by_dimension, 22.0),
     ]:
         tracemalloc.start()
         try:
