@@ -19,14 +19,19 @@ convention: every x with stabilizer <a^t> contributes n/t entries, so an
 orbit is counted once per member.
 
 M, T, R and C are each an "exact stabilizer" count got by one sieve,
-``_exact``: count what a^d stabilizes, then subtract the exact counts of
-the proper divisors of d, memoized in a CountContext.  Each count only
-supplies its "stabilized by a^d" term, as a profile: a list indexed by
-r (fixed points for R, involutions per orbit for C), filled only at
-r = blocks * beta for each j and number of fixed-point blocks.  The
-sieve subtracts profiles entry by entry, so one pass per (quantity, d)
-answers every r; M and T are one-entry profiles.  X and r*O_j are the
-top (s = t) of the C sieve.  All arithmetic is exact arbitrary-width integer
+``_exact``.  Stabilized by a^d means stabilizer <a^e> for some e | d, so
+by Moebius inversion the exact count at d is the signed sum
+sum mu(d/e) * stabilized(e) over the e | d with d/e squarefree.  Each
+count only supplies its "stabilized by a^d" term, as a profile: a list
+indexed by r (fixed points for R, involutions per orbit for C), filled
+only at r = blocks * beta for each j and number of fixed-point blocks.
+The sieve adds profiles entry by entry, so one pass per (quantity, d)
+answers every r; M and T are one-entry profiles.  The C terms are
+profiled once per (s, t) for every gate at once, by the class of
+x(t)/t mod n/t, and X and r*O_j are the top (s = t) of that sieve.
+Each stabilized term, each exact profile and each fixed-point profile
+is built once per CountContext and shared by every quantity and gate
+that reads it.  All arithmetic is exact arbitrary-width integer
 arithmetic ((n-1)! overflows 64 bits already at n = 22).  The residue
 sets depend on (j, m) alone and are cached for the process; everything
 that depends on n stays in the per-degree CountContext.
@@ -42,9 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
-
-from .matched_pair import divisors
+from math import comb, factorial, gcd, lcm
 
 __all__ = [
     "prime_factors",
@@ -168,16 +171,11 @@ def p_c_set(j: int, m: int) -> tuple[int, ...]:
 def ebar_set(j_sigma: int, n: int, t: int, s: int) -> tuple[int, ...]:
     """Values j' mod n/s over j_sigma + multiples of t/s that are square
     roots of 1 mod n/s: the possible x(s)/s compatible with a remainder
-    permutation having sigma(s) = j_sigma * s."""
-    ns = n // s
+    permutation having sigma(s) = j_sigma * s.  Those multiples run over
+    every residue mod n/s that is j_sigma mod t/s (t/s divides n/s), so
+    these are the members of e_set(n/s) congruent to j_sigma mod t/s."""
     ts = t // s
-    legal = set(e_set(ns))
-    seen = []
-    for mb in range(1, n // t + 1):
-        jp = (j_sigma + mb * ts) % ns
-        if jp in legal and jp not in seen:
-            seen.append(jp)
-    return tuple(sorted(seen))
+    return tuple(j for j in e_set(n // s) if (j - j_sigma) % ts == 0)
 
 
 def k_prime_set(j: int, m: int) -> tuple[int, ...]:
@@ -196,9 +194,12 @@ def delta_bar(u: int, j: int, m: int) -> int:
 
 @dataclass
 class CountContext:
-    """Degree plus the memo store of the divisor-lattice sieve (every
-    exact profile, keyed by its stabilized term and arguments) and of
-    count_C's shift counts.
+    """Degree plus the memo store of the counting tower.  ``memo`` holds
+    the sieve's stabilized terms, keyed (stabilized, d, *args), and exact
+    profiles, keyed (_exact, stabilized, d, *args); the fixed-point
+    profiles, keyed (_fixed_point_profile, k, p, pc, base); count_C's
+    shift counts, keyed ("C_shifts", t, s, j_sigma); and the exact C
+    profiles summed over the gate classes, keyed (_overcount, s, t).
 
     Memoized values are written once and never mutated; use one context
     per thread, or share a finished one freely.
@@ -213,11 +214,6 @@ class CountContext:
 
 
 @lru_cache(maxsize=None)
-def _proper_divisors(t: int) -> tuple[int, ...]:
-    return tuple(divisors(t)[:-1])
-
-
-@lru_cache(maxsize=None)
 def _pairings(k: int, l: int) -> int:
     """k! / ((k-2l)! 2^l l!): the ways to pick l disjoint transpositions
     among k points, the shape factor of every involution count."""
@@ -229,43 +225,74 @@ def _check_t(ctx: CountContext, t: int) -> None:
         raise ValueError(f"t={t} must divide n={ctx.n}")
 
 
+def _moebius_terms(d: int) -> list[tuple[int, int]]:
+    """(e, mu(d/e)) for the divisors e of d with d/e squarefree."""
+    out = [(d, 1)]
+    for p in prime_factors(d):
+        out += [(e // p, -mu) for e, mu in out]
+    return out
+
+
 def _exact(ctx: CountContext, stabilized, d: int, *args) -> list[int]:
     """The one sieve of the tower: of the objects stabilized by a^d,
     profiled by ``stabilized(ctx, d, *args)``, those of stabilizer exactly
     <a^d>.  Stabilized by a^d means stabilizer <a^e> for some e | d, so
-    the exact profiles of the proper divisors e of d are subtracted,
-    entry by entry.  Memoized in ctx.memo under (stabilized, d, *args)."""
-    key = (stabilized, d, *args)
+    by Moebius inversion the exact profile is the entry-by-entry sum of
+    mu(d/e) * stabilized(ctx, e, *args) over the e | d with d/e
+    squarefree; the e with mu(d/e) = 0 are never built.  Both the
+    stabilized terms, under (stabilized, e, *args), and the exact
+    profile, under (_exact, stabilized, d, *args), are memoized in
+    ctx.memo, so a term serves every d above it."""
+    key = (_exact, stabilized, d, *args)
     value = ctx.memo.get(key)
     if value is None:
-        value = stabilized(ctx, d, *args)
-        for e in _proper_divisors(d):
-            value = [a - b for a, b in zip(value, _exact(ctx, stabilized, e, *args))]
+        for e, mu in _moebius_terms(d):
+            term_key = (stabilized, e, *args)
+            term = ctx.memo.get(term_key)
+            if term is None:
+                term = ctx.memo[term_key] = stabilized(ctx, e, *args)
+            if value is None:
+                value = list(term)
+            elif mu > 0:
+                value = [a + b for a, b in zip(value, term)]
+            else:
+                value = [a - b for a, b in zip(value, term)]
         ctx.memo[key] = value
     return value
 
 
-def _fixed_point_terms(k: int, mr: int, p: int, pc: int, base: int) -> int:
+def _fixed_point_profile(ctx: CountContext, k: int, p: int, pc: int, base: int) -> list[int]:
     """Involutions built on a degree-k remainder involution with mr blocks
-    of fixed points, summed over its number l of transpositions.
+    of fixed points, summed over its number l of transpositions, as a
+    list over mr = 1..k (entry mr - 1).  Memoized in ctx.memo.
 
-    Each transposed pair takes one of ``base`` shifts; of the k - 1 - 2l
-    other fixed remainder points, mr - 1 carry a block of fixed points
-    (one of p shifts each) and the rest carry none (one of pc each).
-    With pc = 0 only the term leaving no point to the complement can be
-    nonzero (0**0 == 1), so the sum starts at the largest l.
+    Each transposed pair takes one of ``base`` shifts; of the
+    q = k - 1 - 2l other fixed remainder points, mr - 1 carry a block of
+    fixed points (one of p shifts each) and the rest carry none (one of
+    pc each): comb(q, mr - 1) p^(mr-1) pc^(q-mr+1) base^l pairings(k-1, l).
+    A zero p or pc leaves one term per l (0**0 == 1).
     """
-    top = (k - mr) // 2
-    total = 0
-    for l in range(top if pc == 0 else 0, top + 1):
-        total += (
-            comb(k - 1 - 2 * l, mr - 1)
-            * p ** (mr - 1)
-            * pc ** (k - 2 * l - mr)
-            * base**l
-            * _pairings(k - 1, l)
-        )
-    return total
+    key = (_fixed_point_profile, k, p, pc, base)
+    out = ctx.memo.get(key)
+    if out is None:
+        out = [0] * k
+        if pc:
+            p_pow, pc_pow = [1] * k, [1] * k
+            for i in range(1, k):
+                p_pow[i] = p_pow[i - 1] * p
+                pc_pow[i] = pc_pow[i - 1] * pc
+        weight = 1  # base**l
+        for l in range((k - 1) // 2 + 1):
+            q = k - 1 - 2 * l
+            w = weight * _pairings(k - 1, l)
+            if pc:
+                for i in range(q + 1 if p else 1):
+                    out[i] += comb(q, i) * p_pow[i] * pc_pow[q - i] * w
+            else:  # every other point carries a block: mr = q + 1
+                out[q] = p**q * w
+            weight *= base
+        ctx.memo[key] = out
+    return out
 
 
 def _stabilized_M(ctx: CountContext, d: int) -> list[int]:
@@ -308,8 +335,8 @@ def _stabilized_R(ctx: CountContext, d: int) -> list[int]:
     out = [0] * (ctx.n + 1)
     for j in e_set(m):
         b, p, pc = beta(j, m), len(p_set(j, m)), len(p_c_set(j, m))
-        for mr in range(1, d + 1):
-            out[mr * b] += _fixed_point_terms(d, mr, p, pc, m)
+        for mr, term in enumerate(_fixed_point_profile(ctx, d, p, pc, m), 1):
+            out[mr * b] += term
     return out
 
 
@@ -336,16 +363,21 @@ def _coupled_shift_count(
     residues, and an empty compatible set must kill the term outright
     (0^k for k > 0) rather than be papered over by a placeholder 1.
     The congruence holds exactly on the gcd(1+j', n/s) multiples of
-    g = (n/s) / gcd(1+j', n/s).  Their residues mod t/s repeat with
-    period (t/s) / gcd(g, t/s), which divides their number (t/s divides
-    n/s), so one period is scanned and scaled.
+    g = (n/s) / gcd(1+j', n/s).  Their residues mod t/s are the
+    multiples of h = gcd(g, t/s), each hit (n/s)/g/((t/s)/h) times (t/s
+    divides n/s).  The pool is the multiples of beta = beta(j_sigma, t/s)
+    (p_set), or those of (t/s)/alpha(j_sigma, t/s) (k_set) less p_set,
+    and the multiples of h among the multiples of a divisor c of t/s are
+    the (t/s)/lcm(c, h) multiples of lcm(c, h).
     """
     ns = n // s
     ts = t // s
-    pool = set(p_c_set(j_sigma, ts) if complement else p_set(j_sigma, ts))
     g = ns // gcd(1 + j_prime, ns)
-    period = ts // gcd(g, ts)
-    return ns // g // period * sum(1 for k in range(period) if k * g % ts in pool)
+    h = gcd(g, ts)
+    hits = ts // lcm(beta(j_sigma, ts), h)
+    if complement:
+        hits = ts // lcm(ts // alpha(j_sigma, ts), h) - hits
+    return ns // g // (ts // h) * hits
 
 
 def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
@@ -365,18 +397,43 @@ def _shift_counts(ctx: CountContext, t: int, s: int, j_sigma: int) -> tuple:
     return ctx.memo[key]
 
 
-def _stabilized_C(ctx: CountContext, s: int, t: int, j_gate: int | None) -> list[int]:
-    # Indexed by r = 0..t: mr fixed-point blocks of the degree-s remainder
-    # with sigma(s) = j_sigma * s give r = mr * beta(j_sigma, t/s).
+def _stabilized_C(ctx: CountContext, s: int, t: int) -> list[int]:
+    # Indexed by c * (t+1) + r, one block of t+1 per gate class: c is the
+    # position in e_set(n/t) of x(t)/t = j' mod n/t (j' is a square root
+    # of 1 mod n/s, so j' mod n/t is one mod n/t), and mr fixed-point
+    # blocks of the degree-s remainder with sigma(s) = j_sigma * s give
+    # r = mr * beta(j_sigma, t/s).
     ts, ns, nt = t // s, ctx.n // s, ctx.n // t
-    out = [0] * (t + 1)
+    classes = e_set(nt)
+    out = [0] * (len(classes) * (t + 1))
     for j_sigma in e_set(ts):
         b = beta(j_sigma, ts)
         for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
-            if j_gate is None or (j_prime - j_gate) % nt == 0:
-                for mr in range(1, s + 1):
-                    out[mr * b] += _fixed_point_terms(s, mr, in_p, in_pc, ns)
+            at = classes.index(j_prime % nt) * (t + 1)
+            for mr, term in enumerate(_fixed_point_profile(ctx, s, in_p, in_pc, ns), 1):
+                out[at + mr * b] += term
     return out
+
+
+def _overcount(ctx: CountContext, s: int, t: int, j_gate: int | None) -> list[int]:
+    """The exact C profile at (s, t), indexed by r = 0..t, s = t the top:
+    summed over the gate classes, or only x(t) = j_gate * t.  A gate is
+    read mod n/t, so j_gate and j_gate + n/t agree, and one that is not
+    a square root of 1 mod n/t reads zeros.  One sieve per (s, t) serves
+    every gate; the ungated sum is memoized in ctx.memo."""
+    flat = _exact(ctx, _stabilized_C, s, t)
+    width, nt = t + 1, ctx.n // t
+    if j_gate is None:
+        key = (_overcount, s, t)
+        total = ctx.memo.get(key)
+        if total is None:
+            total = ctx.memo[key] = [sum(flat[r::width]) for r in range(width)]
+        return total
+    classes = e_set(nt)
+    if j_gate % nt not in classes:
+        return [0] * width
+    at = classes.index(j_gate % nt) * width
+    return flat[at : at + width]
 
 
 def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None) -> int:
@@ -385,15 +442,16 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
     Counts involutions that a degree-t remainder with r fixed points
     would generate but whose stabilizer is exactly <a^s> for the proper
     divisor s of t.  With ``j_gate`` given, only those with
-    x(t) = j_gate * t are kept (the per-j refinement); the sieve over
-    the divisors of s carries the gate down unchanged.
+    x(t) = j_gate * t are kept (the per-j refinement), the gate read
+    mod n/t; the sieve over the divisors of s carries the gate down
+    unchanged.
     """
     _check_t(ctx, t)
     if s < 1 or t % s or s == t:
         raise ValueError(f"s={s} must be a proper divisor of t={t}")
     if r < 1 or r > t:
         return 0
-    return _exact(ctx, _stabilized_C, s, t, j_gate)[r]
+    return _overcount(ctx, s, t, j_gate)[r]
 
 
 def count_X(ctx: CountContext, t: int, r: int) -> int:
@@ -408,7 +466,7 @@ def count_X(ctx: CountContext, t: int, r: int) -> int:
     _check_t(ctx, t)
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    return _exact(ctx, _stabilized_C, t, t, None)[r]
+    return _overcount(ctx, t, t, None)[r]
 
 
 def count_O(ctx: CountContext, t: int, r: int) -> int:
@@ -419,7 +477,7 @@ def count_O(ctx: CountContext, t: int, r: int) -> int:
     total = count_M(ctx, t)
     if total % t:
         raise ArithmeticError("M count not divisible by orbit length")
-    return total // t - sum(count_O(ctx, t, rr) for rr in range(1, t + 1))
+    return total // t - _orbit_sum(ctx, t, None)
 
 
 def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
@@ -443,10 +501,15 @@ def _orbits(ctx: CountContext, t: int, r: int, j_gate: int | None) -> int:
     # X_{n/t,r} without a gate.
     if r < 1 or t - r < 0 or (t - r) % 2:
         return 0
-    total = _exact(ctx, _stabilized_C, t, t, j_gate)[r]
+    total = _overcount(ctx, t, t, j_gate)[r]
     if total % r:
         raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
     return total // r
+
+
+def _orbit_sum(ctx: CountContext, t: int, j_gate: int | None) -> int:
+    # The sum of _orbits(ctx, t, r, j_gate) over r >= 1.
+    return sum(_orbits(ctx, t, r, j_gate) for r in range(2 - t % 2, t + 1, 2))
 
 
 def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:
@@ -461,11 +524,7 @@ def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:
         raise ValueError(f"dimension t={t} must be odd")
     _check_t(ctx, t)
     m = ctx.n // t
-    plus = t * sum(
-        alpha(j, m) * _orbits(ctx, t, r, j)
-        for j in e_set(m)
-        for r in range(1, t + 1)
-    )
+    plus = t * sum(alpha(j, m) * _orbit_sum(ctx, t, j) for j in e_set(m))
     zero = m * count_M(ctx, t) - plus
     return plus, zero
 

@@ -243,6 +243,24 @@ def _coupled_shift_count_scan(j_prime, j_sigma, n, t, s, complement):
     )
 
 
+def _ebar_set_scan(j_sigma, n, t, s):
+    # The loop over j_sigma + mb * (t/s), mb = 1..n/t, kept as the reference.
+    ns, ts = n // s, t // s
+    legal = set(e_set(ns))
+    return tuple(sorted({(j_sigma + mb * ts) % ns for mb in range(1, n // t + 1)} & legal))
+
+
+def test_ebar_set_matches_scan():
+    cases = 0
+    for n in range(1, 151):
+        for t in divisors(n):
+            for s in divisors(t):
+                for j_sigma in e_set(t // s):
+                    assert ebar_set(j_sigma, n, t, s) == _ebar_set_scan(j_sigma, n, t, s)
+                    cases += 1
+    assert cases > 4000
+
+
 def test_coupled_shift_count_scans_only_solutions():
     # Every s | t, s = t included: the top of the overcount sieve
     # (count_X, count_O_j) reads the shift counts at s = t.
@@ -305,6 +323,25 @@ def test_overcount_terms_marginalize():
                     assert total == count_C(ctx, t, s, r)
 
 
+def test_overcount_gate_is_read_mod_n_over_t():
+    # A gate names x(t)/t mod n/t: j and j +- n/t read alike, and a gate
+    # that is no square root of 1 mod n/t reads zeros.  At n = 24, t = 6
+    # the gates are e_set(4) = (1, 3).
+    ctx = CountContext(24)
+    t, s = 6, 2
+    rows = {gate: [count_C(ctx, t, s, r, j_gate=gate) for r in range(1, t + 1)] for gate in (1, 3)}
+    assert any(rows[1]) and any(rows[3])
+    for gate in (1, 3):
+        for shifted in (gate + 4, gate - 4, gate + 24):
+            assert [count_C(ctx, t, s, r, j_gate=shifted) for r in range(1, t + 1)] == rows[gate]
+    assert [count_C(ctx, t, s, r, j_gate=5) for r in range(1, t + 1)] == rows[1]
+    assert [count_C(ctx, t, s, r, j_gate=-1) for r in range(1, t + 1)] == rows[3]
+    for gate in (0, 2, 6):
+        assert [count_C(ctx, t, s, r, j_gate=gate) for r in range(1, t + 1)] == [0] * t
+    total = [count_C(ctx, t, s, r) for r in range(1, t + 1)]
+    assert total == [a + b for a, b in zip(rows[1], rows[3])]
+
+
 def test_overcount_is_zero_without_fixed_points():
     # Every involution fixes the point n, so r < 1 counts nothing, as in
     # count_R, count_X and count_O_j.
@@ -340,7 +377,7 @@ def test_tower_identities_through_queries_range():
     # Past n = 13 there is no enumeration oracle; the tower must still
     # partition its own totals, and the profiles the parity checks skip
     # must hold zeros only.
-    from bismash.counting import _exact, _stabilized_C, _stabilized_R
+    from bismash.counting import _exact, _overcount, _stabilized_R
 
     for n in range(2, 151):
         ctx = CountContext(n)
@@ -355,12 +392,89 @@ def test_tower_identities_through_queries_range():
             fixed = _exact(ctx, _stabilized_R, t)
             assert all(fixed[r] == 0 for r in range(n + 1) if (n - r) % 2), (n, t)
             for gate in (None, *e_set(n // t)):
-                top = _exact(ctx, _stabilized_C, t, t, gate)
+                top = _overcount(ctx, t, t, gate)
                 assert all(top[r] == 0 for r in range(t + 1) if (t - r) % 2), (n, t)
 
 
 def _pairings(k, l):
     return math.factorial(k) // (math.factorial(k - 2 * l) * 2**l * math.factorial(l))
+
+
+# The sieve as it stood before the Moebius form, the gate classes and the
+# tabulated fixed-point profiles, kept as an oracle: every exact level is
+# subtracted from the stabilized term, each fixed-point term is one sum
+# over l per mr, and the C sieve runs once per gate.
+
+
+def _subtractive_exact(ctx, stabilized, d, *args):
+    key = ("subtractive", stabilized, d, *args)
+    if key not in ctx.memo:
+        value = stabilized(ctx, d, *args)
+        for e in divisors(d)[:-1]:
+            lower = _subtractive_exact(ctx, stabilized, e, *args)
+            value = [a - b for a, b in zip(value, lower)]
+        ctx.memo[key] = value
+    return ctx.memo[key]
+
+
+def _fixed_point_terms(k, mr, p, pc, base):
+    top = (k - mr) // 2
+    return sum(
+        math.comb(k - 1 - 2 * l, mr - 1)
+        * p ** (mr - 1)
+        * pc ** (k - 2 * l - mr)
+        * base**l
+        * _pairings(k - 1, l)
+        for l in range(top if pc == 0 else 0, top + 1)
+    )
+
+
+def _stabilized_R_per_mr(ctx, d):
+    m = ctx.n // d
+    out = [0] * (ctx.n + 1)
+    for j in e_set(m):
+        b, p, pc = beta(j, m), len(p_set(j, m)), len(p_c_set(j, m))
+        for mr in range(1, d + 1):
+            out[mr * b] += _fixed_point_terms(d, mr, p, pc, m)
+    return out
+
+
+def _stabilized_C_gated(ctx, s, t, j_gate):
+    from bismash.counting import _shift_counts
+
+    ts, ns, nt = t // s, ctx.n // s, ctx.n // t
+    out = [0] * (t + 1)
+    for j_sigma in e_set(ts):
+        b = beta(j_sigma, ts)
+        for j_prime, in_p, in_pc in _shift_counts(ctx, t, s, j_sigma):
+            if j_gate is None or (j_prime - j_gate) % nt == 0:
+                for mr in range(1, s + 1):
+                    out[mr * b] += _fixed_point_terms(s, mr, in_p, in_pc, ns)
+    return out
+
+
+def test_sieve_matches_subtractive_oracle():
+    # Every raw exact profile through the queries range: M, T, R, and C
+    # for every s | t (s = t the top) under every gate.
+    from bismash.counting import (
+        _exact,
+        _overcount,
+        _stabilized_M,
+        _stabilized_R,
+        _stabilized_T,
+    )
+
+    pairs = ((_stabilized_M, _stabilized_M), (_stabilized_T, _stabilized_T))
+    pairs += ((_stabilized_R, _stabilized_R_per_mr),)
+    for n in range(2, 151):
+        ctx, old = CountContext(n), CountContext(n)
+        for t in divisors(n):
+            for new, before in pairs:
+                assert _exact(ctx, new, t) == _subtractive_exact(old, before, t), (n, t)
+            for s in divisors(t):
+                for gate in (None, *e_set(n // t)):
+                    want = _subtractive_exact(old, _stabilized_C_gated, s, t, gate)
+                    assert _overcount(ctx, s, t, gate) == want, (n, t, s, gate)
 
 
 def test_orbit_involution_closed_form():
