@@ -9,7 +9,17 @@ oracles, and provides the counting tower (stabilizer censuses,
 involution counts, orbit classifications, indicator censuses) together
 with stabilizer-constrained enumeration that sidesteps (n-1)!-sized
 scans.
+
+Importing the package loads no numpy: the permutation, matched-pair,
+cyclotomic and counting layers are pure Python and load at once, and
+the array engine (``bulk``) with the layers built on it (``hopf``,
+``indicator``, ``construct``) loads when one of their names is first
+read.  So ``bismash count`` (ratios included) never imports numpy,
+while ``bismash indicators`` and ``bismash verify`` import it when
+their work starts.
 """
+
+from importlib import import_module
 
 from .perm import (
     Permutation,
@@ -34,23 +44,7 @@ from .matched_pair import (
     inv_transporter_set,
     divisors,
 )
-from .hopf import (
-    BasisElement,
-    TensorSum,
-    multiply,
-    antipode,
-    comultiply,
-    counit,
-)
 from .cyclotomic import CyclotomicAccumulator, cyclotomic_polynomial
-from .indicator import (
-    IrrepDescriptor,
-    indicator_reduced,
-    indicator_bruteforce,
-    group_indicator_cn,
-    indicator_table,
-    tally_indicators,
-)
 from .counting import (
     CountContext,
     count_M,
@@ -67,18 +61,46 @@ from .counting import (
     involution_count,
     ratio_report,
 )
-from .construct import (
-    RemainderSeed,
-    WorkloadExceeded,
-    build_from_seed,
-    extract_seed,
-    enumerate_stabilized,
-    enumerate_exact_stabilizer,
-    enumerate_involutions,
-    enumerate_involutions_fixed,
-    enumerate_orbit_reps,
-    default_max_work,
-)
+from .guard import WorkloadExceeded, default_max_work
+
+# The names below come from the modules built on numpy; each module is
+# imported when one of its names is first read, and the name is then
+# bound here, so later reads are plain attribute lookups.
+_LAZY = {
+    "hopf": ("BasisElement", "TensorSum", "multiply", "antipode", "comultiply", "counit"),
+    "indicator": (
+        "IrrepDescriptor",
+        "indicator_reduced",
+        "indicator_bruteforce",
+        "group_indicator_cn",
+        "indicator_table",
+        "tally_indicators",
+    ),
+    "construct": (
+        "RemainderSeed",
+        "build_from_seed",
+        "extract_seed",
+        "enumerate_stabilized",
+        "enumerate_exact_stabilizer",
+        "enumerate_involutions",
+        "enumerate_involutions_fixed",
+        "enumerate_orbit_reps",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+# The numpy-backed submodules; importing one binds it here.
+_SUBMODULES = ("bulk", "construct", "hopf", "indicator")
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

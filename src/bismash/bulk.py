@@ -54,7 +54,6 @@ cyclotomic basis matrices as the scalar oracle.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -73,6 +72,7 @@ from .counting import (
     units,
 )
 from .cyclotomic import power_basis_rows
+from .guard import WorkloadExceeded, default_max_work
 from .matched_pair import divisors
 
 __all__ = [
@@ -94,23 +94,6 @@ __all__ = [
     "sweep",
     "SweepResult",
 ]
-
-
-class WorkloadExceeded(RuntimeError):
-    """Raised when an enumeration would generate more candidates than allowed."""
-
-
-def default_max_work() -> int:
-    """The workload guard's limit: $BISMASH_MAX_WORK if set, else 10**8.
-    Raises ValueError unless the variable is a non-negative integer."""
-    env = os.environ.get("BISMASH_MAX_WORK")
-    try:
-        limit = int(env) if env else 10**8
-        if limit >= 0:
-            return limit
-    except ValueError:
-        pass
-    raise ValueError(f"BISMASH_MAX_WORK must be a non-negative integer, got {env!r}")
 
 
 def _dtype(n: int):

@@ -12,6 +12,11 @@ indicators and verify enumerate under the workload guard (--max-work);
 count evaluates closed forms.  Arguments are checked before --out is
 opened; one the counting tower rejects is a usage error in its words.
 
+Only indicators and verify load numpy: they import the array engine
+when their work starts.  Importing this module and every count call,
+ratios included, leave numpy unimported, so a shell call of count
+costs little more than the interpreter's own start.
+
 Data goes to stdout (or --out FILE) as CSV (RFC-4180-style quoting,
 header row) or JSON (array of objects); diagnostics go to stderr.
 Output is byte-deterministic for fixed arguments: rows are sorted, the
@@ -32,29 +37,25 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable, Sequence
 
-from . import bulk
-from .bulk import WorkloadExceeded, default_max_work
 from .counting import (
     CountContext,
     count_I_odd,
     count_I_t2,
     count_M,
     count_O,
-    count_O_j,
     count_R,
     count_T,
     count_X,
     e_set,
+    profile_at,
+    profile_O,
+    profile_O_j,
+    profile_R,
+    profile_X,
     ratio_report,
 )
-from .hopf import (
-    check_antipode_axiom,
-    check_counit_axiom,
-    check_multiplication_associative,
-)
-from .indicator import indicator_table, tally_indicators
+from .guard import WorkloadExceeded, default_max_work
 from .matched_pair import divisors
-from .perm import cycle_notation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,6 +175,9 @@ _TOLIST_ROWS = 1 << 16
 
 
 def _cmd_indicators(args) -> int:
+    from .indicator import indicator_table, tally_indicators
+    from .perm import cycle_notation
+
     n = args.n
     with _output(args) as fh:
         try:
@@ -248,15 +252,18 @@ def _count_rows(args) -> list[tuple]:
         for t in ts:
             row(q, count(ctx, t), t)
     elif q in ("R", "X", "O"):
-        count = {"R": count_R, "X": count_X, "O": count_O}[q]
+        # One r-indexed profile per row group, read at every listed r.
+        profile = {"R": profile_R, "X": profile_X, "O": profile_O}[q]
         for t in ts:
+            prof = profile(ctx, t)
             for r in rs(t):
-                row(q, count(ctx, t, r), t, r)
+                row(q, profile_at(prof, r), t, r)
     elif q == "Oj":
         for t in ts:
             for j in [args.j] if args.j is not None else e_set(n // t):
+                prof = profile_O_j(ctx, t, j)
                 for r in rs(t):
-                    row("Oj", count_O_j(ctx, t, r, j), t, r, j)
+                    row("Oj", profile_at(prof, r), t, r, j)
     elif q in ("Iplus", "Izero"):
         for t in ts:
             plus, zero = count_I_odd(ctx, t)
@@ -300,6 +307,13 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_rows(n: int, max_work: int) -> list[tuple]:
+    from . import bulk
+    from .hopf import (
+        check_antipode_axiom,
+        check_counit_axiom,
+        check_multiplication_associative,
+    )
+
     # The sweep runs first: its workload guard refuses before any work.
     res = bulk.sweep(n, max_work)
     rows: list[tuple] = []

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import bulk
-from .bulk import WorkloadExceeded, default_max_work
+from .guard import WorkloadExceeded, default_max_work
 from .matched_pair import Orbit, orbit, stabilizer
 from .perm import Permutation
 

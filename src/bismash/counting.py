@@ -29,6 +29,9 @@ The sieve adds profiles entry by entry, so one pass per (quantity, d)
 answers every r; M and T are one-entry profiles.  The C terms are
 profiled once per (s, t) for every gate at once, by the class of
 x(t)/t mod n/t, and X and r*O_j are the top (s = t) of that sieve.
+R, X, O and O_j are served as r-indexed profiles, one per t (per
+(t, j) for O_j) with their zero rules applied; the per-r counts and
+the CLI's row groups read the same lists.
 Each stabilized term, each exact profile and each fixed-point profile
 is built once per CountContext and shared by every quantity and gate
 that reads it.  All arithmetic is exact arbitrary-width integer
@@ -68,10 +71,15 @@ __all__ = [
     "count_M",
     "count_T",
     "count_R",
+    "profile_R",
     "count_C",
     "count_X",
+    "profile_X",
     "count_O",
+    "profile_O",
     "count_O_j",
+    "profile_O_j",
+    "profile_at",
     "count_I_odd",
     "count_I_t2",
     "ratio_report",
@@ -198,8 +206,10 @@ class CountContext:
     the sieve's stabilized terms, keyed (stabilized, d, *args), and exact
     profiles, keyed (_exact, stabilized, d, *args); the fixed-point
     profiles, keyed (_fixed_point_profile, k, p, pc, base); count_C's
-    shift counts, keyed ("C_shifts", t, s, j_sigma); and the exact C
-    profiles summed over the gate classes, keyed (_overcount, s, t).
+    shift counts, keyed ("C_shifts", t, s, j_sigma); the exact C
+    profiles summed over the gate classes, keyed (_overcount, s, t); and
+    the r-indexed profiles the per-r counts read, keyed (profile_R, t),
+    (profile_X, t) and (_orbit_profile, t, j_gate).
 
     Memoized values are written once and never mutated; use one context
     per thread, or share a finished one freely.
@@ -340,13 +350,19 @@ def _stabilized_R(ctx: CountContext, d: int) -> list[int]:
     return out
 
 
-def count_R(ctx: CountContext, t: int, r: int) -> int:
-    """|R_{n/t,r}|: involutions with stabilizer exactly <a^t> and exactly
-    r fixed points, the point n included.  Zero when n - r is odd."""
+def profile_R(ctx: CountContext, t: int) -> list[int]:
+    """|R_{n/t,r}| for r = 0..n: involutions with stabilizer exactly
+    <a^t> and exactly r fixed points, the point n included.  Zero at
+    r = 0 and where n - r is odd.  Memoized in ctx.memo."""
     _check_t(ctx, t)
-    if r < 1 or r > ctx.n or (ctx.n - r) % 2:
-        return 0
-    return _exact(ctx, _stabilized_R, t)[r]
+    return _memoized(
+        ctx, (profile_R, t), lambda: _involutive(_exact(ctx, _stabilized_R, t), ctx.n)
+    )
+
+
+def count_R(ctx: CountContext, t: int, r: int) -> int:
+    """|R_{n/t,r}|: entry r of ``profile_R``, zero outside 1..n."""
+    return profile_at(profile_R(ctx, t), r)
 
 
 def _coupled_shift_count(
@@ -454,9 +470,10 @@ def count_C(ctx: CountContext, t: int, s: int, r: int, j_gate: int | None = None
     return _overcount(ctx, s, t, j_gate)[r]
 
 
-def count_X(ctx: CountContext, t: int, r: int) -> int:
-    """|X_{n/t,r}|: involutions of stabilizer exactly <a^t> whose orbit
-    contains exactly r involutions.  Zero when t - r is negative or odd.
+def profile_X(ctx: CountContext, t: int) -> list[int]:
+    """|X_{n/t,r}| for r = 0..t: involutions of stabilizer exactly <a^t>
+    whose orbit contains exactly r involutions.  Zero at r = 0 and where
+    t - r is odd.  Memoized in ctx.memo.
 
     The top (s = t) of the overcount sieve: at s = t the remainder is
     trivial and the term sum collapses to sum_j alpha(j, n/t)^(r-1)
@@ -464,24 +481,29 @@ def count_X(ctx: CountContext, t: int, r: int) -> int:
     C_{n,t,s,r} of the proper divisors s off it.
     """
     _check_t(ctx, t)
-    if r < 1 or t - r < 0 or (t - r) % 2:
-        return 0
-    return _overcount(ctx, t, t, None)[r]
+    return _memoized(ctx, (profile_X, t), lambda: _involutive(_overcount(ctx, t, t, None), t))
+
+
+def count_X(ctx: CountContext, t: int, r: int) -> int:
+    """|X_{n/t,r}|: entry r of ``profile_X``, zero outside 1..t."""
+    return profile_at(profile_X(ctx, t), r)
+
+
+def profile_O(ctx: CountContext, t: int) -> list[int]:
+    """|O_{n/t,r}| for r = 0..t: orbits of length t containing exactly
+    r involutions.  Memoized in ctx.memo."""
+    _check_t(ctx, t)
+    return _orbit_profile(ctx, t, None)
 
 
 def count_O(ctx: CountContext, t: int, r: int) -> int:
-    """|O_{n/t,r}|: orbits of length t containing exactly r involutions."""
-    _check_t(ctx, t)
-    if r:
-        return _orbits(ctx, t, r, None)
-    total = count_M(ctx, t)
-    if total % t:
-        raise ArithmeticError("M count not divisible by orbit length")
-    return total // t - _orbit_sum(ctx, t, None)
+    """|O_{n/t,r}|: entry r of ``profile_O``, zero outside 0..t."""
+    return profile_at(profile_O(ctx, t), r)
 
 
-def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
-    """|O_{n/t,r,j}|: orbits of length t, r involutions, and y(t) = j*t.
+def profile_O_j(ctx: CountContext, t: int, j: int) -> list[int]:
+    """|O_{n/t,r,j}| for r = 0..t: orbits of length t, r involutions,
+    and y(t) = j*t.  Zero at r = 0.  Memoized in ctx.memo.
 
     Defined for 1 < t < n; the boundary dimensions have no j refinement
     (t = 1 orbits are singletons, t = n has a trivial character group).
@@ -492,24 +514,53 @@ def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
     m = ctx.n // t
     if j % m not in e_set(m):
         raise ValueError(f"j={j} is not a square root of 1 mod {m}")
-    return _orbits(ctx, t, r, j % m)
+    return _orbit_profile(ctx, t, j % m)
 
 
-def _orbits(ctx: CountContext, t: int, r: int, j_gate: int | None) -> int:
-    # |O_{n/t,r}|, or |O_{n/t,r,j}| with a gate j, for every t | n and r,
-    # arguments unchecked: r times it is the top (s = t) of the C sieve,
-    # X_{n/t,r} without a gate.
-    if r < 1 or t - r < 0 or (t - r) % 2:
-        return 0
-    total = _overcount(ctx, t, t, j_gate)[r]
-    if total % r:
-        raise ArithmeticError(f"r*O count {total} not divisible by r={r}")
-    return total // r
+def count_O_j(ctx: CountContext, t: int, r: int, j: int) -> int:
+    """|O_{n/t,r,j}|: entry r of ``profile_O_j``, zero outside 1..t."""
+    return profile_at(profile_O_j(ctx, t, j), r)
 
 
-def _orbit_sum(ctx: CountContext, t: int, j_gate: int | None) -> int:
-    # The sum of _orbits(ctx, t, r, j_gate) over r >= 1.
-    return sum(_orbits(ctx, t, r, j_gate) for r in range(2 - t % 2, t + 1, 2))
+def profile_at(profile: list[int], r: int) -> int:
+    """Entry r of an r-indexed profile; zero past either end, where no
+    object has r."""
+    return profile[r] if 0 <= r < len(profile) else 0
+
+
+def _memoized(ctx: CountContext, key: tuple, build):
+    value = ctx.memo.get(key)
+    if value is None:
+        value = ctx.memo[key] = build()
+    return value
+
+
+def _involutive(profile: list[int], total: int) -> list[int]:
+    # A copy of an r-indexed profile of involutions on ``total`` points
+    # (or with ``total`` orbit members), zero where r = 0 or total - r is
+    # odd: an involution moves its points in pairs.
+    return [v if r and (total - r) % 2 == 0 else 0 for r, v in enumerate(profile)]
+
+
+def _orbit_profile(ctx: CountContext, t: int, j_gate: int | None) -> list[int]:
+    # |O_{n/t,r}|, or |O_{n/t,r,j}| with a gate j, over r = 0..t,
+    # arguments unchecked: r times entry r >= 1 is the top (s = t) of the
+    # C sieve, X_{n/t,r} without a gate.  Ungated, entry 0 is the rest of
+    # the M_{n/t}/t orbits; gated, it stays zero.
+    def build() -> list[int]:
+        prof = _involutive(_overcount(ctx, t, t, j_gate), t)
+        for r in range(1, t + 1):
+            if prof[r] % r:
+                raise ArithmeticError(f"r*O count {prof[r]} not divisible by r={r}")
+            prof[r] //= r
+        if j_gate is None:
+            total = count_M(ctx, t)
+            if total % t:
+                raise ArithmeticError("M count not divisible by orbit length")
+            prof[0] = total // t - sum(prof)
+        return prof
+
+    return _memoized(ctx, (_orbit_profile, t, j_gate), build)
 
 
 def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:
@@ -524,7 +575,7 @@ def count_I_odd(ctx: CountContext, t: int) -> tuple[int, int]:
         raise ValueError(f"dimension t={t} must be odd")
     _check_t(ctx, t)
     m = ctx.n // t
-    plus = t * sum(alpha(j, m) * _orbit_sum(ctx, t, j) for j in e_set(m))
+    plus = t * sum(alpha(j, m) * sum(_orbit_profile(ctx, t, j)) for j in e_set(m))
     zero = m * count_M(ctx, t) - plus
     return plus, zero
 

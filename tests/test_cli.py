@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from bismash import bulk, cli
+from bismash import bulk, cli, indicator
 from bismash.cli import main
+from bismash.counting import CountContext, count_O, count_O_j, count_R, count_X
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
@@ -213,7 +214,8 @@ def test_unopenable_out_is_usage_error(tmp_path, capsys, monkeypatch):
         pytest.fail("work started before --out was opened")
 
     monkeypatch.setattr(bulk, "sweep", never)
-    monkeypatch.setattr(cli, "indicator_table", never)
+    # indicators imports its table builder at call time, from its module.
+    monkeypatch.setattr(indicator, "indicator_table", never)
     # A path under a missing directory, and a path that is a directory.
     for target in (tmp_path / "missing" / "rows.csv", tmp_path):
         for argv in (
@@ -343,16 +345,114 @@ def test_count_rejects_bad_j_in_one_line(capsys):
     assert "j=2" in err
 
 
-def _run_alone(*argv):
-    # One call in a fresh interpreter, as a shell would run it.
+def _child_env():
+    # The environment of a fresh interpreter that imports this checkout.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_alone(*argv):
+    # One call in a fresh interpreter, as a shell would run it.
     return subprocess.run(
         [sys.executable, "-m", "bismash.cli", *argv],
         capture_output=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     ).stdout
+
+
+def _fresh_python(source):
+    # Python source run in a fresh interpreter under the default guard;
+    # returns its stdout.
+    env = _child_env()
+    env.pop("BISMASH_MAX_WORK", None)
+    return subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def test_count_calls_load_no_numpy():
+    # Importing the CLI and every count quantity, ratios included, stay
+    # clear of the array engine and so of numpy.
+    calls = [["count", "--n", "12", "--quantity", q] for q in
+             ("M", "T", "R", "X", "O", "Iplus", "Izero", "It2")]
+    calls += [["count", "--n", "12", "--quantity", "Oj", "--t", "3"],
+              ["count", "--n", "3", "--quantity", "ratios", "--t", "3"]]
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "import bismash.cli\n"
+        f"calls = {calls!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [bismash.cli.main(argv) for argv in calls]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert out == f"{[0] * len(calls)} False\n"
+
+
+def test_package_names_resolve_lazily():
+    # The names of the numpy-backed modules load on first read and are
+    # then bound in the package; submodules resolve after a bare import.
+    out = _fresh_python(
+        "import sys\n"
+        "import bismash\n"
+        "print('numpy' in sys.modules, 'indicator_table' in vars(bismash))\n"
+        "f = bismash.indicator_table\n"
+        "print(f is sys.modules['bismash.indicator'].indicator_table,\n"
+        "      vars(bismash)['indicator_table'] is f, 'numpy' in sys.modules)\n"
+        "print(bismash.bulk is sys.modules['bismash.bulk'])\n"
+    )
+    assert out == "False False\nTrue True True\nTrue\n"
+    import bismash
+
+    names = {}
+    exec("from bismash import *", names)
+    assert all(names[name] is getattr(bismash, name) for name in bismash.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bismash.no_such_name
+
+
+def test_guard_names_are_one_object():
+    # main catches the guard error by the name it imports, so every
+    # module that raises or re-exports it must hold the same class.
+    import bismash
+    from bismash import construct, guard
+
+    for name in ("WorkloadExceeded", "default_max_work"):
+        obj = getattr(guard, name)
+        assert getattr(bulk, name) is obj and getattr(construct, name) is obj
+        assert getattr(bismash, name) is obj and getattr(cli, name) is obj
+
+
+def test_guard_refusals_exit_2_in_a_fresh_process():
+    # The array engine loads after the CLI; its refusals still exit 2.
+    out = _fresh_python(
+        "import contextlib, io\n"
+        "import bismash.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [bismash.cli.main(['verify', '--n', '13']),\n"
+        "             bismash.cli.main(['indicators', '--n', '13']),\n"
+        "             bismash.cli.main(['indicators', '--n', '12', '--max-work', '1000'])]\n"
+        "print(codes)\n"
+    )
+    assert out == "[2, 2, 2]\n"
+
+
+def test_count_rows_read_the_per_r_counts():
+    # count reads one r-indexed profile per row group; every row it
+    # prints equals the per-r count, on a context of its own, for every
+    # n <= 150, and so does an --r outside the listed range.
+    per_r = {"R": count_R, "X": count_X, "O": count_O}
+    parser = cli._build_parser()
+    for n in range(2, 151):
+        ctx = CountContext(n)
+        extra = [[]] + ([["--r", r] for r in ("-1", "0", str(n + 1))] if n in (6, 12) else [])
+        for q in ("R", "X", "O", "Oj"):
+            for more in extra:
+                args = parser.parse_args(["count", "--n", str(n), "--quantity", q, *more])
+                for _n, t, _q, r, j, _i, value in cli._count_rows(args):
+                    want = count_O_j(ctx, t, r, j) if q == "Oj" else per_r[q](ctx, t, r)
+                    assert value == want, (n, q, t, r, j)
 
 
 def test_parser_reuse_keeps_calls_apart(capsys):
@@ -379,13 +479,11 @@ def test_parser_reuse_keeps_calls_apart(capsys):
 def test_closed_stdout_exits_quietly():
     # `indicators --n 10` writes about 1 MB; the reader takes two lines
     # and closes the pipe, as `| head -2` does.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "bismash.cli", "indicators", "--n", "10"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     head = [proc.stdout.readline() for _ in range(2)]
     proc.stdout.close()
