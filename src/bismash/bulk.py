@@ -191,23 +191,20 @@ def shift_rows(X: np.ndarray, l: int) -> np.ndarray:
     return _wrap(X[:, cols] - X[:, [l % n]], n)
 
 
-def _shift_cmp(X: np.ndarray, l: int, rows: np.ndarray | None = None) -> np.ndarray:
-    # Per row (of `rows`, all by default): the sign of x <| a^l - x in
-    # lexicographic order.  Column 0 is 0 on both sides, so column 1,
-    # x(l+1) - x(l) against x(1), decides unless it ties; then column 2,
-    # x(l+2) - x(l) against x(2), unless it ties too; only rows tied on
-    # both are compared in full, at their first differing column.
+def _shift_cmp(X: np.ndarray, l: int) -> np.ndarray:
+    # Per row: the sign of x <| a^l - x in lexicographic order.  Column 0
+    # is 0 on both sides, so column 1, x(l+1) - x(l) against x(1), decides
+    # unless it ties; then column 2, x(l+2) - x(l) against x(2), unless it
+    # ties too; only rows tied on both are compared in full, at their
+    # first differing column.
     n = X.shape[1]
-    at = slice(None) if rows is None else rows
-    out = np.sign(_wrap(X[at, (l + 1) % n] - X[at, l % n], n) - X[at, 1])
+    out = np.sign(_wrap(X[:, (l + 1) % n] - X[:, l % n], n) - X[:, 1])
     tie = np.flatnonzero(out == 0)
     if n > 2 and len(tie):
-        r = tie if rows is None else rows[tie]
-        out[tie] = np.sign(_wrap(X[r, (l + 2) % n] - X[r, l % n], n) - X[r, 2])
+        out[tie] = np.sign(_wrap(X[tie, (l + 2) % n] - X[tie, l % n], n) - X[tie, 2])
         tie = tie[out[tie] == 0]
     if len(tie):
-        r = tie if rows is None else rows[tie]
-        A, B = shift_rows(X[r], l), X[r]
+        A, B = shift_rows(X[tie], l), X[tie]
         first = np.argmax(A != B, axis=1)
         k = np.arange(len(tie))
         out[tie] = np.sign(A[k, first] - B[k, first])
@@ -226,19 +223,22 @@ def canonical_orders(X: np.ndarray, t: int | None = None) -> np.ndarray:
     l = s <= t-1, so a row left after l = t-1 has every one of its t-1
     shifts larger: it is the smallest member of an orbit of order t, and
     is given t without the l = t comparison, which every a^t-stabilized
-    row would tie.  Each row leaves at its first smaller or equal shift,
-    so the expected work decays harmonically in l.
+    row would tie.  Every l compares the whole window by column slices,
+    with the rows left as a mask: on column-1 candidates column 1 is never
+    smaller, so only ties drop rows, and few do (at n = 11 the 362,880
+    rows with x(1) = 1 still hold 219,466 after l = 10); gathering the
+    rows left would cost more than scanning them all.
     """
-    orders = np.zeros(len(X), dtype=np.int16)
-    rows = np.arange(len(X))
     t = X.shape[1] if t is None else t
+    orders = np.zeros(len(X), dtype=np.int16)
+    left = np.ones(len(X), dtype=bool)
     for l in range(1, t):
-        if not len(rows):
+        if not left.any():
             break
-        c = _shift_cmp(X, l, rows=rows)
-        orders[rows[c == 0]] = l
-        rows = rows[c > 0]
-    orders[rows] = t
+        c = _shift_cmp(X, l)
+        orders[left & (c == 0)] = l
+        left &= c > 0
+    orders[left] = t
     return orders
 
 
@@ -306,14 +306,18 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
     # All characters i at once: (x, i) is nonzero where i*u1 = 0 mod m,
     # and there 2*i*u2 = 0 mod m, so the sign is +1 where i*u2 = 0 and -1
     # where i*u2 = m/2 (odd m leaves only +1).  Row u of one (m, m) table
-    # holds i*u mod m for every i, gathered by u1 and u2.
+    # holds i*u mod m for every i, gathered by u1 and u2 only for the rows
+    # whose inverse lies in the orbit, the only rows that can be nonzero.
     table = np.outer(np.arange(m), np.arange(m)) % m
-    nz = found[:, None] & (table[u1] == 0)
-    k = table[u2]
+    f = np.flatnonzero(found)
+    nz = table[u1[f]] == 0
+    k = table[u2[f]]
     if ((2 * k[nz]) % m).any():
         raise ArithmeticError("i*u2 escaped {0, m/2} although i*u1 = 0")
-    out = nz.astype(np.int8)
-    out[nz & (k != 0)] = -1
+    signs = nz.astype(np.int8)
+    signs[nz & (k != 0)] = -1
+    out = np.zeros((len(X), m), dtype=np.int8)
+    out[f] = signs
     return out
 
 
@@ -523,8 +527,9 @@ def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = Fals
     # The residue part is built once per group and the sigma rows, tiled
     # m times, are added over it along whole rows (an add over a
     # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
-    # the kept rows take their residue rows and add their sigma rows over
-    # a (rows, m, t) view, so no tiled sigma row is copied per kept row.
+    # the kept rows take their residue rows and add their tiled sigma
+    # rows, gathered per kept row, along whole rows too (a (rows, m, t)
+    # broadcast add of the untiled sigma rows ran 3x slower at (36, 6)).
     # The groups must fill the `size` candidates exactly.
     m = n // t
     q = np.arange(m)[:, None]
@@ -538,24 +543,24 @@ def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = Fals
                 cap = max(seeds, min(window, size - listed))
             at = filled = 0
         # At t = 1 there is no l to test: every row is its own orbit.
-        kept = np.nonzero(_column1_keep(t, m, j, sigmas, U)) if column1 and t > 1 else None
-        rows = seeds if kept is None else len(kept[0])
+        kept = np.flatnonzero(_column1_keep(t, m, j, sigmas, U)) if column1 and t > 1 else None
+        rows = seeds if kept is None else len(kept)
         if at + rows > len(out):
             grown = np.empty((cap if kept is None else at + rows, n), dtype=out.dtype)
             grown[:at] = out[:at]
             out = grown
         U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
         lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype).reshape(len(U), n)
+        tiled = np.tile(sigmas, m)
         if kept is None:
             view = out[at : at + rows].reshape(len(sigmas), len(U), n)
-            np.add(lift, np.tile(sigmas, m)[:, None, :], out=view)
+            np.add(lift, tiled[:, None, :], out=view)
         else:
             # mode="clip" lets take write straight into the buffer (the
-            # default mode buffers); the kept u rows index lift's rows.
-            s, k = kept
+            # default mode buffers); kept row s*len(U) + k is sigma s, u k.
+            s, k = np.divmod(kept, len(U))
             view = np.take(lift, k, axis=0, out=out[at : at + rows], mode="clip")
-            view = view.reshape(rows, m, t)
-            view += sigmas[s][:, None, :]
+            view += tiled[s]
         at += rows
         filled += seeds
         listed += seeds
@@ -694,8 +699,9 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     holds the whole stratum at once, n bytes per candidate in the int8
     row type, and a pass over it adds its own temporaries (tracemalloc
     at (36, 6), 1.87M candidates: building the rows peaks at 69 MiB, and
-    the representative scan and the congruence route over the whole
-    stratum raise the peak to 100 MiB, about 56 bytes per candidate).
+    the representative scan over the whole stratum and the congruence
+    route over its representatives raise the peak to 91 MiB, about 51
+    bytes per candidate).
     ``rep_chunks`` lists only their column-1 candidates, in windows of at
     most ``_CHUNK`` rows.
     """

@@ -197,8 +197,6 @@ def test_shift_cmp_matches_scalar_on_ties():
     for n, l, X in cases:
         want = [_lex_sign(tuple(x.tolist()), l) for x in X]
         assert bulk._shift_cmp(X, l).tolist() == want
-        rows = np.flatnonzero(np.arange(len(X)) % 3 != 1)
-        assert bulk._shift_cmp(X, l, rows).tolist() == [want[r] for r in rows]
         S = bulk.shift_rows(X, l)
         tie1, tie2 = S[:, 1] == X[:, 1], (S[:, 1:3] == X[:, 1:3]).all(axis=1)
         whole = (S == X).all(axis=1)
@@ -315,6 +313,63 @@ def test_indicator_rows_match_scalar():
                     assert indicator_bruteforce(d) == int(bru[k, i])
 
 
+def _all_rows_reduced(X, t):
+    # The congruence route on every row at once: the (N, m) gathers of
+    # the table by u1 and u2 for all rows, masked by `found` after.
+    m = X.shape[1] // t
+    found, _s, u1, u2 = bulk.inversion_rows(X, t)
+    table = np.outer(np.arange(m), np.arange(m)) % m
+    nz = found[:, None] & (table[u1] == 0)
+    k = table[u2]
+    assert not ((2 * k[nz]) % m).any()
+    out = nz.astype(np.int8)
+    out[nz & (k != 0)] = -1
+    return out
+
+
+def test_reduced_route_matches_all_rows_formula(monkeypatch):
+    # reduced_indicator_rows gathers the table only for the rows whose
+    # inverse lies in the orbit; the all-rows formula gives the same
+    # matrix on every rep_chunks window of the census cells, (12, 4) and
+    # (9, 3), and on every t | n split of the t = n windows of n = 9, 10
+    # (t = n: m = 1).
+    windows = []
+    for n, t in [*CENSUS_CELLS, (12, 4), (9, 3)]:
+        windows += [(t, reps) for reps in bulk.rep_chunks(n, t)]
+    for n in (9, 10):
+        for X in bulk._windows(n, n, math.factorial(n - 1)):
+            orders = bulk.canonical_orders(X)
+            windows += [(t, X[orders == t]) for t in divisors(n)]
+    assert any(X.shape[1] == t and len(X) for t, X in windows)
+    for t, X in windows:
+        assert np.array_equal(bulk.reduced_indicator_rows(X, t), _all_rows_reduced(X, t)), (X.shape, t)
+    # A window where no row's inverse lies in its orbit reads all zeros.
+    X = next(bulk.rep_chunks(24, 4))
+    found = bulk.inversion_rows(X, 4)[0]
+    assert found.any() and not found.all()
+    out = bulk.reduced_indicator_rows(X[~found], 4)
+    assert out.shape == (int((~found).sum()), 6) and not out.any()
+    # i*u2 outside {0, m/2} where i*u1 = 0 raises on a row whose inverse
+    # lies in the orbit, and is never read on the other rows.
+    inversion = bulk.inversion_rows
+    for row_found in (True, False):
+        k = int(np.flatnonzero((found == row_found) & (inversion(X, 4)[2] == 0))[0])
+
+        def escaped(Y, t, k=k):
+            f, s, u1, u2 = inversion(Y, t)
+            u2 = u2.copy()
+            u2[k] = 1  # i = 1: 1 is neither 0 nor m/2 = 3, and i*u1 = 0
+            return f, s, u1, u2
+
+        monkeypatch.setattr(bulk, "inversion_rows", escaped)
+        if row_found:
+            with pytest.raises(ArithmeticError, match="escaped"):
+                bulk.reduced_indicator_rows(X, 4)
+        else:
+            assert np.array_equal(bulk.reduced_indicator_rows(X, 4), _all_rows_reduced(X, 4))
+        monkeypatch.setattr(bulk, "inversion_rows", inversion)
+
+
 def test_seeded_rows_match_census():
     for n in (8, 12, 16, 20):
         ctx = CountContext(n)
@@ -422,6 +477,22 @@ def test_seeded_windows_list_column_one_candidates():
             list(bulk._expand(12, 3, bulk._seed_groups(12, 3), wrong, bulk._CHUNK, column1=True))
 
 
+def test_windows_hold_only_column_one_candidates():
+    # Every row the listing emits passes the column-1 lemma,
+    # wrap(x(l+1) - x(l)) >= x(1) for every l < t: the bound the scan
+    # relies on, in that column 1 is never smaller on a listed row.
+    # Every window of the census cells and of t = n for n <= 10.
+    cases = [*CENSUS_CELLS, *((n, n) for n in range(2, 11))]
+    for n, t in cases:
+        size = bulk._stratum(n, t, bulk._stabilized_M, None)
+        for X in bulk._windows(n, t, size):
+            X16 = X.astype(np.int16)
+            for l in range(1, t):
+                d = X16[:, (l + 1) % n] - X16[:, l]
+                d += (d < 0) * np.int16(n)
+                assert (d >= X16[:, 1]).all(), (n, t, l)
+
+
 def test_one_sigma_block_fits_a_window():
     # A seed group holds whole sigma blocks of m^(t-1) rows each, so the
     # windows stay within _CHUNK rows only while one block fits.  Under
@@ -446,14 +517,15 @@ def test_rep_chunks_bound_memory():
     # front in place, at 70.86 MiB (144.12 when it copied the stratum per
     # prime factor of t); the census holds one window buffer of the
     # window's column-1 candidates, at most 133,776 rows, rewritten window
-    # by window, and peaks at 21.0-21.6 MiB in the reduced route over a
-    # window's 119,555 representatives (36.53 with buffers of _CHUNK
+    # by window, and peaks at 19.3 MiB (21.0-21.6 when the congruences
+    # gathered (N, m) int64 rows for every representative, not only for
+    # those whose inverse lies in the orbit; 36.53 with buffers of _CHUNK
     # rows, every seeded row listed; 53.6 with a fresh array per window;
     # 109.8 when it filtered the whole view at once).
     for call, bound_mib in [
         (bulk.stabilized_rows, 69.3),
         (bulk.exact_stabilizer_rows, 71.0),
-        (bulk.census_by_dimension, 22.0),
+        (bulk.census_by_dimension, 20.5),
     ]:
         tracemalloc.start()
         try:
