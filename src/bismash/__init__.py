@@ -10,41 +10,18 @@ involution counts, orbit classifications, indicator censuses) together
 with stabilizer-constrained enumeration that sidesteps (n-1)!-sized
 scans.
 
-Importing the package loads no numpy: the permutation, matched-pair,
-cyclotomic and counting layers are pure Python and load at once, and
-the array engine (``bulk``) with the layers built on it (``hopf``,
-``indicator``, ``construct``) loads when one of their names is first
-read.  So ``bismash count`` (ratios included) never imports numpy,
-while ``bismash indicators`` and ``bismash verify`` import it when
-their work starts.
+Importing the package loads only the counting tower and the workload
+guard, both pure Python.  Every other layer loads when one of its names
+is first read: the permutation, matched-pair and cyclotomic layers
+(pure Python) and the array engine (``bulk``) with the layers built on
+it (``hopf``, ``indicator``, ``construct``).  So ``bismash count``
+(ratios included) imports neither numpy nor the scalar layers, while
+``bismash indicators`` and ``bismash verify`` import them when their
+work starts.
 """
 
 from importlib import import_module
 
-from .perm import (
-    Permutation,
-    compose,
-    inverse,
-    from_cycles,
-    to_cycles,
-    fixed_points,
-    is_involution,
-    parse_permutation,
-)
-from .matched_pair import (
-    StabilizerInfo,
-    Orbit,
-    InversionData,
-    act_left,
-    act_right,
-    factorize,
-    stabilizer,
-    orbit,
-    inversion_data,
-    inv_transporter_set,
-    divisors,
-)
-from .cyclotomic import CyclotomicAccumulator, cyclotomic_polynomial
 from .counting import (
     CountContext,
     count_M,
@@ -56,6 +33,7 @@ from .counting import (
     count_O_j,
     count_I_odd,
     count_I_t2,
+    divisors,
     euler_phi,
     omega,
     involution_count,
@@ -63,10 +41,33 @@ from .counting import (
 )
 from .guard import WorkloadExceeded, default_max_work
 
-# The names below come from the modules built on numpy; each module is
-# imported when one of its names is first read, and the name is then
-# bound here, so later reads are plain attribute lookups.
+# The names below come from the other modules; each module is imported
+# when one of its names is first read, and the name is then bound here,
+# so later reads are plain attribute lookups.
 _LAZY = {
+    "perm": (
+        "Permutation",
+        "compose",
+        "inverse",
+        "from_cycles",
+        "to_cycles",
+        "fixed_points",
+        "is_involution",
+        "parse_permutation",
+    ),
+    "matched_pair": (
+        "StabilizerInfo",
+        "Orbit",
+        "InversionData",
+        "act_left",
+        "act_right",
+        "factorize",
+        "stabilizer",
+        "orbit",
+        "inversion_data",
+        "inv_transporter_set",
+    ),
+    "cyclotomic": ("CyclotomicAccumulator", "cyclotomic_polynomial"),
     "hopf": ("BasisElement", "TensorSum", "multiply", "antipode", "comultiply", "counit"),
     "indicator": (
         "IrrepDescriptor",
@@ -88,8 +89,8 @@ _LAZY = {
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
-# The numpy-backed submodules; importing one binds it here.
-_SUBMODULES = ("bulk", "construct", "hopf", "indicator")
+# The lazily loaded submodules; importing one binds it here.
+_SUBMODULES = (*_LAZY, "bulk")
 
 
 def __getattr__(name: str):

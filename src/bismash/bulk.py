@@ -66,6 +66,7 @@ from .counting import (
     CountContext,
     _stabilized_M,
     _stabilized_T,
+    divisors,
     e_set,
     k_set,
     prime_factors,
@@ -73,7 +74,6 @@ from .counting import (
 )
 from .cyclotomic import power_basis_rows
 from .guard import WorkloadExceeded, default_max_work
-from .matched_pair import divisors
 
 __all__ = [
     "WorkloadExceeded",

@@ -12,10 +12,10 @@ indicators and verify enumerate under the workload guard (--max-work);
 count evaluates closed forms.  Arguments are checked before --out is
 opened; one the counting tower rejects is a usage error in its words.
 
-Only indicators and verify load numpy: they import the array engine
-when their work starts.  Importing this module and every count call,
-ratios included, leave numpy unimported, so a shell call of count
-costs little more than the interpreter's own start.
+Importing this module loads only counting, guard, argparse and csv, and
+count needs no more (ratios adds fractions, --format json adds json), so
+a shell call of count costs little more than the interpreter's start.
+indicators and verify import numpy and the other layers as work starts.
 
 Data goes to stdout (or --out FILE) as CSV (RFC-4180-style quoting,
 header row) or JSON (array of objects); diagnostics go to stderr.
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
-from typing import Iterable, Sequence
 
 from .counting import (
     CountContext,
@@ -46,6 +45,7 @@ from .counting import (
     count_R,
     count_T,
     count_X,
+    divisors,
     e_set,
     profile_at,
     profile_O,
@@ -55,7 +55,6 @@ from .counting import (
     ratio_report,
 )
 from .guard import WorkloadExceeded, default_max_work
-from .matched_pair import divisors
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,6 +150,8 @@ def _emit(fh, rows: Iterable[Sequence], columns: list[str], fmt: str) -> None:
     # framing reproduces json.dumps(list(rows), indent=0) + "\n" byte for
     # byte, one object per row.
     if fmt == "json":
+        import json
+
         encoder = json.JSONEncoder(indent=0)
         sep = "[\n"
         for row in rows:

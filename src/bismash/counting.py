@@ -37,7 +37,9 @@ is built once per CountContext and shared by every quantity and gate
 that reads it.  All arithmetic is exact arbitrary-width integer
 arithmetic ((n-1)! overflows 64 bits already at n = 22).  The residue
 sets depend on (j, m) alone and are cached for the process; everything
-that depends on n stays in the per-degree CountContext.
+that depends on n stays in the per-degree CountContext.  The package's
+elementary number theory (divisors, prime_factors, units, euler_phi,
+omega) lives here too, so ``count`` needs no other layer.
 
 Every count here has an independent enumeration oracle in the
 construction layer, and the test suite holds the two equal on all
@@ -47,12 +49,11 @@ parameters up to degree 12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 __all__ = [
+    "divisors",
     "prime_factors",
     "units",
     "euler_phi",
@@ -87,6 +88,19 @@ __all__ = [
 
 
 # -- elementary number theory -----------------------------------------
+
+
+def divisors(m: int) -> list[int]:
+    """Positive divisors of m in increasing order."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
 
 
 def prime_factors(m: int) -> dict[int, int]:
@@ -200,7 +214,6 @@ def delta_bar(u: int, j: int, m: int) -> int:
 # -- the counting tower -------------------------------------------------
 
 
-@dataclass
 class CountContext:
     """Degree plus the memo store of the counting tower.  ``memo`` holds
     the sieve's stabilized terms, keyed (stabilized, d, *args), and exact
@@ -215,12 +228,11 @@ class CountContext:
     per thread, or share a finished one freely.
     """
 
-    n: int
-    memo: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise ValueError("degree must be positive")
+        self.n = n
+        self.memo = {}
 
 
 @lru_cache(maxsize=None)
@@ -631,6 +643,8 @@ def ratio_report(t: int, m_values) -> list[dict]:
     against sqrt(m/2)).  Supported for odd t and t = 2, where censuses
     have closed forms.  Rows with an empty census (|M| = 0) are skipped.
     """
+    from fractions import Fraction
+
     if t != 2 and t % 2 == 0:
         raise ValueError("trend report needs odd t or t = 2")
     rows = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .matched_pair import divisors
+from .counting import divisors
 
 __all__ = ["cyclotomic_polynomial", "power_basis_rows", "CyclotomicAccumulator"]
 

@@ -35,14 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bulk
+from .counting import divisors
 from .cyclotomic import CyclotomicAccumulator
-from .matched_pair import (
-    divisors,
-    inv_transporter_set,
-    inversion_data,
-    orbit,
-    stabilizer,
-)
+from .matched_pair import inv_transporter_set, inversion_data, orbit, stabilizer
 from .perm import Permutation, inverse
 
 __all__ = [

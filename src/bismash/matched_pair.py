@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .counting import divisors
 from .perm import Permutation, inverse
 
 __all__ = [
@@ -39,19 +40,6 @@ __all__ = [
     "inv_transporter_set",
     "divisors",
 ]
-
-
-def divisors(m: int) -> list[int]:
-    """Positive divisors of m in increasing order."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
 
 
 class StabilizerInfo(NamedTuple):

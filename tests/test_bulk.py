@@ -851,9 +851,9 @@ def test_stabilized_rows_at_row_type_edge():
     assert listed == 3  # (120, 1), (120, 2), (121, 1)
 
 
-# bulk.sweep(13), recorded once: 12! = 479,001,600 permutations, about
-# 3 minutes serially (BENCH_n13.json).  Too slow for the suite, so its
-# fields are pinned here and held to the counting tower.
+# bulk.sweep(13), recorded once: 12! = 479,001,600 permutations, 15.5 s
+# serially in a fresh process (BENCH_scans.json).  Too slow for the
+# suite, so its fields are pinned here and held to the counting tower.
 SWEEP_13 = bulk.SweepResult(
     n=13,
     mismatches=0,
@@ -892,3 +892,60 @@ def test_sweep_degree_13_record_matches_tower():
         assert sum(fixed.values()) == count_T(ctx, t)
         for r in range(1, n + 1):
             assert fixed.get(r, 0) == count_R(ctx, t, r)
+
+
+# bulk.sweep(14, max_work=6227020800), recorded once: 13! =
+# 6,227,020,800 permutations, about 3.5 minutes serially in a fresh
+# process (BENCH_imports.json).  14 is the first even degree past 12:
+# its t = 14 census has no closed form.
+SWEEP_14 = bulk.SweepResult(
+    n=14,
+    mismatches=0,
+    permutations=6227020800,
+    m_counts={1: 6, 2: 36, 7: 46074, 14: 6226974684},
+    orbit_counts={1: 6, 2: 18, 7: 6582, 14: 444783906},
+    tallies={
+        1: {1: 16, -1: 0, 0: 68},
+        2: {1: 48, -1: 0, 0: 204},
+        7: {1: 6496, -1: 0, 0: 85652},
+        14: {1: 2383920, -1: 0, 0: 6224590764},
+    },
+    orbit_involutions={
+        1: {0: 4, 1: 2},
+        2: {0: 15, 2: 3},
+        7: {0: 6118, 1: 119, 3: 240, 5: 96, 7: 9},
+        14: {0: 444623185, 2: 67399, 4: 67446, 6: 22460, 8: 3200, 10: 210, 12: 6},
+    },
+    involution_fixed_points={
+        1: {2: 1, 14: 1},
+        2: {2: 6},
+        7: {2: 330, 4: 486, 6: 375, 8: 140, 10: 45, 12: 6},
+        14: {2: 134798, 4: 269784, 6: 134760, 8: 25600, 10: 2100, 12: 72},
+    },
+)
+
+
+def test_sweep_degree_14_record_matches_tower():
+    res, n = SWEEP_14, 14
+    ctx = CountContext(n)
+    assert res.mismatches == 0
+    assert sum(res.m_counts.values()) == res.permutations == math.factorial(n - 1)
+    assert res.dim_squared_sum == math.factorial(n)
+    assert res.irrep_classes == 444797280
+    for t in divisors(n):
+        assert res.m_counts[t] == count_M(ctx, t) == res.orbit_counts[t] * t
+        assert sum(res.tallies[t].values()) == (n // t) * res.m_counts[t]
+        hist = res.orbit_involutions[t]
+        for r in range(0, t + 1):
+            assert hist.get(r, 0) == count_O(ctx, t, r)
+            if r:
+                assert r * hist.get(r, 0) == count_X(ctx, t, r)
+        fixed = res.involution_fixed_points[t]
+        assert sum(fixed.values()) == count_T(ctx, t)
+        for r in range(1, n + 1):
+            assert fixed.get(r, 0) == count_R(ctx, t, r)
+    plus, minus, zero = count_I_t2(ctx)
+    assert res.tallies[2] == {1: plus, -1: minus, 0: zero}
+    for t in (1, 7):
+        plus, zero = count_I_odd(ctx, t)
+        assert res.tallies[t] == {1: plus, -1: 0, 0: zero}

@@ -390,6 +390,23 @@ def test_count_calls_load_no_numpy():
     assert out == f"{[0] * len(calls)} False\n"
 
 
+def test_count_call_loads_only_the_counting_path():
+    # import bismash.cli plus a count call load counting, guard and the
+    # CLI: no numpy, no scalar layer, and none of the stdlib modules that
+    # only other paths use.
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import bismash.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bismash.cli.main(['count', '--n', '144', '--quantity', 'X'])\n"
+        "banned = {'numpy', 'bismash.perm', 'bismash.matched_pair', 'bismash.cyclotomic',\n"
+        "          'dataclasses', 'inspect', 'fractions', 'json'}\n"
+        "print(code, sorted(banned & (set(sys.modules) - before)))\n"
+    )
+    assert out == "0 []\n"
+
+
 def test_package_names_resolve_lazily():
     # The names of the numpy-backed modules load on first read and are
     # then bound in the package; submodules resolve after a bare import.
@@ -403,6 +420,16 @@ def test_package_names_resolve_lazily():
         "print(bismash.bulk is sys.modules['bismash.bulk'])\n"
     )
     assert out == "False False\nTrue True True\nTrue\n"
+    # The pure-Python layers outside the counting path load the same way.
+    out = _fresh_python(
+        "import sys\n"
+        "import bismash\n"
+        "print('Permutation' in vars(bismash), 'bismash.perm' in sys.modules)\n"
+        "print(bismash.perm is sys.modules['bismash.perm'])\n"
+        "print(bismash.Permutation is bismash.perm.Permutation,\n"
+        "      bismash.matched_pair.divisors is bismash.counting.divisors)\n"
+    )
+    assert out == "False False\nTrue\nTrue True\n"
     import bismash
 
     names = {}
