@@ -29,14 +29,18 @@ x(1) = 1 all pass, and those with x(1) >= 2 come from a pruned
 expansion; 14.0% of S_11 passes (5,593,455 of 39,916,800 rows at
 n = 12).  The census, the indicator tables and the full sweep over
 S_{n-1} (split over every t at once) all read that stream's windows,
-so the rows they list are bounded by the window size.
+so the rows they list are bounded by the window size.  The census reads
+them in place: each window's representatives are moved to its front, so
+it holds one window of kept rows, and its temporaries (the window's one
+lift of residue parts, the scan's masks, the inverting search in the row
+type) are sized by that window's rows; ``rep_chunks`` hands out copies.
 The scan and the exactness filter compare shifted rows through one
 lexicographic comparison: column 1, then column 2, then whole rows on
 ties.  The search for the inverting shift of the reduced route tests an
 equality, x o (x <| a^l) = 1, so it builds no inverse: it reads the last
 column of the composition, then the one before it, then whole rows on
-ties.  Residue differences a - b mod n wrap by adding n under a sign
-mask, in their own dtype, never by integer %.
+ties, a bounded block at a time.  Residue differences a - b mod n wrap
+by adding n under a sign mask, in their own dtype, never by integer %.
 The brute-force oracle works from one inverse per row: the inverse of
 every orbit member x <| a^l is a column rotation of x^{-1}, and the
 shift is an action, so the transporter columns of member l are those
@@ -256,9 +260,11 @@ def _inverting_hits(X: np.ndarray, l: int) -> np.ndarray:
     # every u.  An equality may start from any column: the last, u = n-1,
     # then u = n-2 on its ties, each read through one flat gather
     # x(y) = X.ravel()[base + y]; only rows that pass both are composed
-    # in full.  The last columns also avoid the ties of the first ones:
-    # at l = n the test is x = x^{-1}, which every row with x(1), x(2) =
-    # 1, 2 passes on columns 1 and 2.
+    # in full, in blocks of at most _BLOCK entries, so the index matrix of
+    # the composition stays bounded however many rows tie.  The last
+    # columns also avoid the ties of the first ones: at l = n the test is
+    # x = x^{-1}, which every row with x(1), x(2) = 1, 2 passes on
+    # columns 1 and 2.
     N, n = X.shape
     flat, base = X.ravel(), np.arange(0, N * n, n)
     xl = X[:, l % n]
@@ -266,8 +272,13 @@ def _inverting_hits(X: np.ndarray, l: int) -> np.ndarray:
     if n > 2:
         y = _wrap(X[hit, (l - 2) % n] - xl[hit], n)
         hit = hit[flat[base[hit] + y] == n - 2]
-    y = shift_rows(X[hit], l)
-    return hit[(flat[base[hit, None] + y] == np.arange(n)).all(axis=1)]
+    whole = np.empty(len(hit), dtype=bool)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(hit), step):
+        h = hit[lo : lo + step]
+        y = shift_rows(X[h], l)
+        whole[lo : lo + step] = (flat[base[h, None] + y] == np.arange(n)).all(axis=1)
+    return hit[whole]
 
 
 def inversion_rows(X: np.ndarray, t: int):
@@ -277,24 +288,33 @@ def inversion_rows(X: np.ndarray, t: int):
     x^{-1}: the composition x o (x <| a^l) is compared with the identity
     on its last column, then on the one before it, and only rows that
     match on both are composed in full.  s and u2 are 0 on rows whose
-    inverse is outside the orbit (u2 is unused there).
+    inverse is outside the orbit (u2 is unused there).  u1 and u2 come in
+    the row type: u1 and the multiple-of-t check on x(t) are read through
+    n-entry tables indexed by x(t), and u2 is computed on the found rows
+    only.
     """
     n = X.shape[1]
     m = n // t
-    xt = X[:, t % n].astype(np.int64)
-    if (xt % t).any():
+    points = np.arange(n)
+    xt = X[:, t % n]
+    if (points % t != 0)[xt].any():
         raise AssertionError("x(t) not a multiple of t; wrong t for these rows")
-    u1 = ((xt + t) // t) % m
+    u1 = (((points + t) // t) % m).astype(X.dtype)[xt]
     s = np.zeros(len(X), dtype=np.int16)
     for l in range(1, t + 1):
-        # x <| a^l = x^{-1} for at most one l in 1..t.
-        s[_inverting_hits(X, l)] = l
+        hits = _inverting_hits(X, l)
+        # x <| a^l = x^{-1} = x <| a^l' gives x <| a^(l-l') = x, so a row
+        # of order t inverts at one l in 1..t at most.
+        if s[hits].any():
+            raise AssertionError("x <| a^l = x^{-1} at two shifts l in 1..t; wrong t for these rows")
+        s[hits] = l
     found = s > 0
-    vals = X[found, s[found] % n].astype(np.int64) + s[found]
+    f = np.flatnonzero(found)
+    vals = X[f, s[f] % n].astype(np.intp) + s[f]
     if (vals % t).any():
         raise AssertionError("x(s)+s not a multiple of t")
-    u2 = np.zeros(len(X), dtype=np.int64)
-    u2[found] = (vals // t) % m
+    u2 = np.zeros(len(X), dtype=X.dtype)
+    u2[f] = (vals // t) % m
     return found, s, u1, u2
 
 
@@ -505,6 +525,43 @@ def _column1_keep(t: int, m: int, j: int, sigmas: np.ndarray, U: np.ndarray) -> 
     return keep
 
 
+def _lift(t: int, m: int, j: int, U: np.ndarray, dtype) -> np.ndarray:
+    # Row k: the residue part t*((q*j + u_w) mod m) of u row k at column
+    # q*t + w, u_0 = 0, built in the row type: q*j mod m is subtracted as
+    # m - (q*j mod m), which leaves u_w - m + (q*j mod m) in (-m, m) and
+    # wraps to (q*j + u_w) mod m, so no entry leaves the row type.
+    lift = np.zeros((len(U), m, t), dtype=dtype)
+    lift[:, :, 1:] = U[:, None, :]
+    lift -= (m - (np.arange(m) * j) % m).astype(dtype)[:, None]
+    _wrap(lift, m)
+    lift *= t
+    return lift.reshape(len(U), m * t)
+
+
+def _write_group(view: np.ndarray, lift: np.ndarray, tiled: np.ndarray, keep) -> None:
+    # Writes the rows lift[k] + tiled[s] of one seed group into `view`,
+    # sigma-major: every (s, k), or with `keep` only the kept ones.  The
+    # sigma rows, tiled m times, are added along whole rows (an add over
+    # a (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6)).
+    # The kept rows take their residue rows, then each sigma's run of
+    # kept rows adds its one sigma row, so no sigma row is gathered per
+    # kept row.
+    if keep is None:
+        np.add(lift, tiled[:, None, :], out=view.reshape(len(tiled), len(lift), -1))
+        return
+    k = np.flatnonzero(keep)
+    k %= len(lift)
+    # mode="clip" lets take write straight into the buffer (the default
+    # mode buffers).
+    np.take(lift, k, axis=0, out=view, mode="clip")
+    del k
+    lo = 0
+    for sigma, hi in zip(tiled, np.cumsum(keep.sum(axis=1)).tolist()):
+        if hi > lo:
+            view[lo:hi] += sigma
+        lo = hi
+
+
 def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = False):
     # Yields the rows x(q*t + w) = t*((q*j + u_w) mod m) + sigma(w),
     # m = n/t and u_0 = 0, of the seed groups (j, sigmas, U): every sigma
@@ -519,21 +576,19 @@ def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = Fals
     # workload guard and the count below check seeds, not rows written.
     # Every window is written into one buffer, replaced only by a larger
     # one, so a consumer must be done with a window before it asks for
-    # the next.  One buffer per stratum keeps the peak RSS steady: an
-    # array per window left census runs at one of three peaks, up to
-    # 20 MB apart, as the heap happened to fragment.  The buffer holds a
-    # window's seeds, or with `column1` only its kept rows (a fifth of
-    # the seeds at (36, 6)), grown as groups add to the window.
-    # The residue part is built once per group and the sigma rows, tiled
-    # m times, are added over it along whole rows (an add over a
-    # (sigma, u, m, t) view, inner axis t, ran 2-3x slower at (36, 6));
-    # the kept rows take their residue rows and add their tiled sigma
-    # rows, gathered per kept row, along whole rows too (a (rows, m, t)
-    # broadcast add of the untiled sigma rows ran 3x slower at (36, 6)).
+    # the next (and may rewrite it in place).  One buffer per stratum
+    # keeps the peak RSS steady: an array per window left census runs at
+    # one of three peaks, up to 20 MB apart, as the heap happened to
+    # fragment.  The buffer holds a window's seeds, or with `column1`
+    # only its kept rows (a fifth of the seeds at (36, 6)), grown as
+    # groups add to the window.  Beside it only the residue part
+    # (``_lift``) outlives a group: it is built once per run of groups of
+    # the same (j, U), U compared by identity while the reference is
+    # held, so a yield holds one window and one lift.
     # The groups must fill the `size` candidates exactly.
     m = n // t
-    q = np.arange(m)[:, None]
     out, at, filled, cap, listed = np.empty((0, n), dtype=_dtype(n)), 0, 0, 0, 0
+    lifted = None  # (j, U, lift) of the last group
     for j, sigmas, U in groups:
         seeds = len(sigmas) * len(U)
         if filled + seeds > cap:
@@ -542,25 +597,17 @@ def _expand(n: int, t: int, groups, size: int, window: int, column1: bool = Fals
             if seeds > cap:
                 cap = max(seeds, min(window, size - listed))
             at = filled = 0
+        if lifted is None or lifted[0] != j or lifted[1] is not U:
+            lifted = j, U, _lift(t, m, j, U, out.dtype)
         # At t = 1 there is no l to test: every row is its own orbit.
-        kept = np.flatnonzero(_column1_keep(t, m, j, sigmas, U)) if column1 and t > 1 else None
-        rows = seeds if kept is None else len(kept)
+        keep = _column1_keep(t, m, j, sigmas, U) if column1 and t > 1 else None
+        rows = seeds if keep is None else int(np.count_nonzero(keep))
         if at + rows > len(out):
-            grown = np.empty((cap if kept is None else at + rows, n), dtype=out.dtype)
+            grown = np.empty((cap if keep is None else at + rows, n), dtype=out.dtype)
             grown[:at] = out[:at]
             out = grown
-        U = np.hstack([np.zeros((len(U), 1), dtype=np.intp), U])
-        lift = (t * ((q * j + U[:, None, :]) % m)).astype(out.dtype).reshape(len(U), n)
-        tiled = np.tile(sigmas, m)
-        if kept is None:
-            view = out[at : at + rows].reshape(len(sigmas), len(U), n)
-            np.add(lift, tiled[:, None, :], out=view)
-        else:
-            # mode="clip" lets take write straight into the buffer (the
-            # default mode buffers); kept row s*len(U) + k is sigma s, u k.
-            s, k = np.divmod(kept, len(U))
-            view = np.take(lift, k, axis=0, out=out[at : at + rows], mode="clip")
-            view += tiled[s]
+        _write_group(out[at : at + rows], lifted[2], np.tile(sigmas, m), keep)
+        del keep
         at += rows
         filled += seeds
         listed += seeds
@@ -667,24 +714,29 @@ def _windows(n: int, t: int, size: int):
         yield np.concatenate(blocks)
 
 
-def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
-    # The rows of an a^t-stabilized stratum whose stabilizer is exactly
-    # <a^t>: no shift by t/p, p a prime factor of t, fixes them.  Each
-    # shift is compared on every row (a slice reads faster than gathered
-    # rows), and the survivors are moved to the front of X in place, block
-    # by block, so the stratum is never held twice; X is the caller's own
-    # fresh array.  A block is written at or before where it was read.
-    keep = np.ones(len(X), dtype=bool)
-    for p in prime_factors(t):
-        keep &= _shift_cmp(X, t // p) != 0
-    if keep.all():
-        return X
+def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    # The rows X[keep], moved to the front of X in place, block by block,
+    # so the kept rows are never held twice; returns the view of them.
+    # A block is written at or before where it was read.
     at = 0
     for lo in range(0, len(X), _BLOCK):
         block = X[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
         X[at : at + len(block)] = block
         at += len(block)
     return X[:at]
+
+
+def _exact_rows(X: np.ndarray, t: int) -> np.ndarray:
+    # The rows of an a^t-stabilized stratum whose stabilizer is exactly
+    # <a^t>: no shift by t/p, p a prime factor of t, fixes them.  Each
+    # shift is compared on every row (a slice reads faster than gathered
+    # rows), and the survivors are moved to the front of X in place
+    # (``_compact``), so the stratum is never held twice; X is the
+    # caller's own fresh array.
+    keep = np.ones(len(X), dtype=bool)
+    for p in prime_factors(t):
+        keep &= _shift_cmp(X, t // p) != 0
+    return X if keep.all() else _compact(X, keep)
 
 
 def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
@@ -698,9 +750,9 @@ def stabilized_rows(n: int, t: int, max_work: int | None = None) -> np.ndarray:
     view, like ``exact_stabilizer_rows`` and ``exact_involution_rows``,
     holds the whole stratum at once, n bytes per candidate in the int8
     row type, and a pass over it adds its own temporaries (tracemalloc
-    at (36, 6), 1.87M candidates: building the rows peaks at 69 MiB, and
+    at (36, 6), 1.87M candidates: building the rows peaks at 65 MiB, and
     the representative scan over the whole stratum and the congruence
-    route over its representatives raise the peak to 91 MiB, about 51
+    route over its representatives raise the peak to 81 MiB, about 45
     bytes per candidate).
     ``rep_chunks`` lists only their column-1 candidates, in windows of at
     most ``_CHUNK`` rows.
@@ -763,8 +815,9 @@ def exact_involution_rows(n: int, t: int, max_work: int | None = None) -> np.nda
 def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarray]:
     """The canonical (lexicographically smallest) member of every orbit of
     stabilizer order t, in the seed order of ``stabilized_rows``, as a
-    stream of row arrays: the one way the census, the indicator tables
-    and ``construct.enumerate_orbit_reps`` read representatives.
+    stream of row arrays: the one stream of representatives.  The
+    indicator tables and ``construct.enumerate_orbit_reps`` read it; the
+    census reads the same windows in place (``_rep_windows``).
 
     The workload guard runs on the call, before any row is built, and
     counts seeds: every a^t-stabilized row, (n-1)! at t = n.  The stream
@@ -772,7 +825,8 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     docstring), x(1) <= x(l+1) - x(l) mod n for every l, in windows of at
     most ``_CHUNK`` rows, and yields each window's rows
     X[canonical_orders(X, t) == t], so memory is bounded by the window
-    size.  For t < n a window covers up to ``_CHUNK`` seeds (seed groups
+    size: the window, and the copy of its representatives the caller
+    keeps.  For t < n a window covers up to ``_CHUNK`` seeds (seed groups
     of whole sigma blocks of one unit j, consecutive small groups sharing
     a window) and holds those that pass, in seed order; for t = n the
     windows hold the candidates in lexicographic order.  Either way they
@@ -781,10 +835,21 @@ def rep_chunks(n: int, t: int, max_work: int | None = None) -> Iterator[np.ndarr
     result.  No exactness pass is needed: told t, the scan stops at
     l = t - 1, and a row of exact order s < t (s | t) ties at l = s, so it
     gets s or 0, never t; its value t picks the canonical rows of exact
-    order t.
+    order t.  Each yielded array is fresh, the caller's to keep (the
+    indicator tables keep every window): the representatives of
+    ``_rep_windows``, copied.
     """
     size = _stratum(n, t, _stabilized_M, max_work)
-    return (X[canonical_orders(X, t) == t] for X in _windows(n, t, size))
+    return (reps.copy() for reps in _rep_windows(n, t, size))
+
+
+def _rep_windows(n: int, t: int, size: int) -> Iterator[np.ndarray]:
+    # The representatives of each window of ``_windows``, moved to the
+    # window's front in place (``_compact``): each view is valid until
+    # the next window is requested.  The stratum must have passed the
+    # guard (`size` is its candidate count).
+    for X in _windows(n, t, size):
+        yield _compact(X, canonical_orders(X, t) == t)
 
 
 def _tally(values: np.ndarray, t: int) -> dict[int, int]:
@@ -798,9 +863,12 @@ def census_by_dimension(n: int, t: int, max_work: int | None = None) -> tuple[in
     """(plus, minus, zero) tallies over all (x, i) pairs of dimension t:
     x of stabilizer exactly <a^t>, i one of the n/t characters.  Each
     orbit is evaluated on its representative and counted per member,
-    chunk by chunk of ``rep_chunks``."""
+    window by window of the stream behind ``rep_chunks``, read in place:
+    one window of kept rows, its representatives moved to its front, is
+    all the stream holds."""
+    size = _stratum(n, t, _stabilized_M, max_work)
     tally = Counter()
-    for reps in rep_chunks(n, t, max_work):
+    for reps in _rep_windows(n, t, size):
         tally.update(_tally(reduced_indicator_rows(reps, t), t))
     return tally[1], tally[-1], tally[0]
 
@@ -865,7 +933,7 @@ def sweep(n: int, max_work: int | None = None) -> SweepResult:
     for X in _windows(n, n, total):
         orders = canonical_orders(X)
         for t in divisors(n):
-            reps = X[orders == t]
+            reps = X.take(np.flatnonzero(orders == t), axis=0)
             # Orbit-stabilizer: each orbit holds t permutations.
             res.m_counts[t] += t * len(reps)
             if not len(reps):

@@ -91,7 +91,7 @@ class TensorSum:
 def sym_fixing_top(n: int) -> Iterator[Permutation]:
     """All (n-1)! permutations of degree n fixing n."""
     for images in itertools.permutations(range(1, n)):
-        yield Permutation((0,) + images)
+        yield Permutation._unchecked((0,) + images)
 
 
 def basis_elements(n: int) -> Iterator[BasisElement]:

@@ -82,14 +82,16 @@ class InversionData(NamedTuple):
 
 
 def _act_left_word(w: tuple[int, ...], r: int) -> tuple[int, ...]:
+    # (x <| a^r)(u) = x(u+r) - x(r): the word rotated by r, less x(r).
     n = len(w)
-    xr = w[r % n]
-    return tuple((w[(u + r) % n] - xr) % n for u in range(n))
+    r %= n
+    xr = w[r]
+    return tuple([(v - xr) % n for v in w[r:] + w[:r]])
 
 
 def act_left(x: Permutation, r: int) -> Permutation:
     """x <| a^r, computed pointwise as (x <| a^r)(u) = x(u+r) - x(r)."""
-    return Permutation(_act_left_word(x.word, r))
+    return Permutation._unchecked(_act_left_word(x.word, r))
 
 
 def act_right(x: Permutation, r: int) -> int:

@@ -59,6 +59,15 @@ class Permutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", _check_word(self.word))
 
+    @classmethod
+    def _unchecked(cls, word: tuple[int, ...]) -> "Permutation":
+        # A word derived from valid permutations (a product, an inverse, a
+        # shift), already a tuple of residues mod n, wrapped without a
+        # second check: _check_word guards every word from outside data.
+        x = object.__new__(cls)
+        object.__setattr__(x, "word", word)
+        return x
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -132,15 +141,14 @@ def compose(f: Permutation, g: Permutation) -> Permutation:
     """f*g with (f*g)(i) = f(g(i)): apply g first, then f."""
     if f.n != g.n:
         raise ValueError(f"degree mismatch: {f.n} != {g.n}")
-    fw, gw = f.word, g.word
-    return Permutation(tuple(fw[v] for v in gw))
+    return Permutation._unchecked(tuple(map(f.word.__getitem__, g.word)))
 
 
 def inverse(x: Permutation) -> Permutation:
     inv = [0] * x.n
     for i, v in enumerate(x.word):
         inv[v] = i
-    return Permutation(tuple(inv))
+    return Permutation._unchecked(tuple(inv))
 
 
 def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:

@@ -370,6 +370,23 @@ def test_reduced_route_matches_all_rows_formula(monkeypatch):
         monkeypatch.setattr(bulk, "inversion_rows", inversion)
 
 
+def test_inversion_rows_refuse_a_second_inverting_shift(monkeypatch):
+    # A row of order t inverts at one shift l in 1..t at most; a search
+    # that finds a second one for the same row raises, it does not
+    # overwrite s.
+    X = bulk.exact_stabilizer_rows(12, 2)
+    found, s, _u1, _u2 = bulk.inversion_rows(X, 2)
+    k = int(np.flatnonzero(found)[0])
+    hits = bulk._inverting_hits
+
+    def twice(Y, l):
+        return np.union1d(hits(Y, l), [k])
+
+    monkeypatch.setattr(bulk, "_inverting_hits", twice)
+    with pytest.raises(AssertionError, match="two shifts"):
+        bulk.inversion_rows(X, 2)
+
+
 def test_seeded_rows_match_census():
     for n in (8, 12, 16, 20):
         ctx = CountContext(n)
@@ -512,20 +529,28 @@ def test_one_sigma_block_fits_a_window():
 
 def test_rep_chunks_bound_memory():
     # tracemalloc peaks at (36, 6), 1,866,240 rows of 36 bytes (64.1 MiB).
-    # The whole-stratum views hold every row: the listing peaks at 69.28
-    # MiB, and the exactness filter, which moves the exact rows to the
-    # front in place, at 70.86 MiB (144.12 when it copied the stratum per
-    # prime factor of t); the census holds one window buffer of the
-    # window's column-1 candidates, at most 133,776 rows, rewritten window
-    # by window, and peaks at 19.3 MiB (21.0-21.6 when the congruences
-    # gathered (N, m) int64 rows for every representative, not only for
-    # those whose inverse lies in the orbit; 36.53 with buffers of _CHUNK
-    # rows, every seeded row listed; 53.6 with a fresh array per window;
-    # 109.8 when it filtered the whole view at once).
+    # The whole-stratum views hold every row: the listing peaks at 65.19
+    # MiB (69.28 when each seed group's residue part went through
+    # (rows, m, t) intp temporaries), and the exactness filter, which
+    # moves the exact rows to the front in place, at 70.86 MiB (144.12
+    # when it copied the stratum per prime factor of t).  The involution
+    # stratum peaks at 2.31 MiB (6.11 with the intp residue part).  The
+    # census holds one window buffer of the window's column-1 candidates,
+    # at most 133,776 rows, rewritten window by window, its
+    # representatives moved to its front in place, and peaks at 9.77 MiB
+    # (19.27 when it copied the representatives out of each window, held
+    # a seed group's temporaries across the yield, gathered a sigma row
+    # per kept row, and composed every tied row in one (rows, n) intp
+    # index matrix; 21.0-21.6 when the congruences gathered (N, m) int64
+    # rows for every representative, not only for those whose inverse
+    # lies in the orbit; 36.53 with buffers of _CHUNK rows, every seeded
+    # row listed; 53.6 with a fresh array per window; 109.8 when it
+    # filtered the whole view at once).
     for call, bound_mib in [
-        (bulk.stabilized_rows, 69.3),
+        (bulk.stabilized_rows, 65.5),
         (bulk.exact_stabilizer_rows, 71.0),
-        (bulk.census_by_dimension, 20.5),
+        (bulk.exact_involution_rows, 3.0),
+        (bulk.census_by_dimension, 10.5),
     ]:
         tracemalloc.start()
         try:
@@ -534,6 +559,24 @@ def test_rep_chunks_bound_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20, (call.__name__, peak)
+
+
+def test_rep_windows_in_place_match_rep_chunks():
+    # The census reads the representatives in place, each view valid
+    # until the next window is asked for; copied window by window, the
+    # views are rep_chunks' windows, in the same windows and order, on the
+    # ten census cells and on (11, 11).  rep_chunks' windows are fresh
+    # arrays: one kept past the next window keeps its rows.
+    for n, t in [*CENSUS_CELLS, (11, 11)]:
+        size = bulk._stratum(n, t, bulk._stabilized_M, None)
+        views = [reps.copy() for reps in bulk._rep_windows(n, t, size)]
+        chunks = list(bulk.rep_chunks(n, t))
+        assert len(views) == len(chunks), (n, t)
+        for view, chunk in zip(views, chunks):
+            assert chunk.flags.owndata and np.array_equal(view, chunk), (n, t)
+    # The guard of rep_chunks runs on the call, before the first window.
+    with pytest.raises(bulk.WorkloadExceeded):
+        bulk.rep_chunks(36, 6, max_work=10)
 
 
 def test_t_n_stream_bounds_memory():
