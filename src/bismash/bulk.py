@@ -27,13 +27,18 @@ only, and each seed group writes just the rows that pass: 18.7% of the
 stratum at (36, 6) (349,705 of 1,866,240 rows).  At t = n, rows with
 x(1) = 1 all pass, and those with x(1) >= 2 come from a pruned
 expansion; 14.0% of S_11 passes (5,593,455 of 39,916,800 rows at
-n = 12).  The census, the indicator tables and the full sweep over
-S_{n-1} (split over every t at once) all read that stream's windows,
-so the rows they list are bounded by the window size.  The census reads
-them in place: each window's representatives are moved to its front, so
-it holds one window of kept rows, and its temporaries (the window's one
-lift of residue parts, the scan's masks, the inverting search in the row
-type) are sized by that window's rows; ``rep_chunks`` hands out copies.
+n = 12).  The lemma is the first letter of the difference word
+D(u) = x(u+1) - x(u) mod n, u = 0..n-1 (D(n-1) = -x(n-1)): under
+x <| a^l it rotates by l, D'(u) = D(u+l), so an orbit is a necklace of
+difference words, and the word of its smallest member starts with the
+necklace's least letter, x(1) = D(0).  The census, the indicator
+tables and the full sweep over S_{n-1} (split over every t at once)
+all read that stream's windows, so the rows they list are bounded by
+the window size.  The census reads them in place: each window's
+representatives are moved to its front, so it holds one window of kept
+rows, and its temporaries (the window's one lift of residue parts, the
+scan's masks, the inverting search in the row type) are sized by that
+window's rows; ``rep_chunks`` hands out copies.
 The scan and the exactness filter compare shifted rows through one
 lexicographic comparison: column 1, then column 2, then whole rows on
 ties.  The search for the inverting shift of the reduced route tests an
@@ -41,11 +46,13 @@ equality, x o (x <| a^l) = 1, so it builds no inverse: it reads the last
 column of the composition, then the one before it, then whole rows on
 ties, a bounded block at a time.  Residue differences a - b mod n wrap
 by adding n under a sign mask, in their own dtype, never by integer %.
-The brute-force oracle works from one inverse per row: the inverse of
-every orbit member x <| a^l is a column rotation of x^{-1}, and the
-shift is an action, so the transporter columns of member l are those
-of x itself, shifted by l.  One search per row finds the shifts c with
-x^{-1} <| a^c = x, on a few columns first and then on the rest; each
+The brute-force oracle works from one inverse per row, built a block
+of rows at a time: the inverse of every orbit member x <| a^l is a
+column rotation of x^{-1}, and the shift is an action, so the
+transporter columns of member l are those of x itself, shifted by l.
+One search per row finds the shifts c with x^{-1} <| a^c = x, its keys
+the first ``_KEY_COLS`` letters of the difference words of
+x^{-1} <| a^c, compared with those of x, and then the rest; each
 is expanded to the t pairs (l, c + l mod n), and every pair is compared
 with its member in full before it is counted.  The same pairs give the
 involutions: a member y is one exactly when y^{-1} <| a^0 = y, that is,
@@ -115,8 +122,8 @@ _SUFFIX = 8
 # many at a time (``_windows``).  At t = n it is a multiple of the suffix
 # table's 8! rows, so no window splits a table block.  Between
 # 2**18 and 2M rows the window hardly moves the time of sweep(10) and
-# sweep(11); at this size sweep(12) peaks at about 100 MB RSS, against
-# 210 MB with 2M-row windows (2-core VM).
+# sweep(11); at this size sweep(12) peaks at 65 MB RSS (2-core VM), and
+# it took 210 MB with 2M-row windows when the routes ran on whole windows.
 _CHUNK = 16 * math.factorial(_SUFFIX)
 
 # The pruned expansion of the t = n candidates grows a level at most
@@ -125,9 +132,11 @@ _CHUNK = 16 * math.factorial(_SUFFIX)
 _SLICE = 1 << 14
 
 # The oracle compares every shift of x^{-1} with x on codes of this many
-# columns first, in blocks of _BLOCK rows: its (rows, n) codes and
-# comparison mask, and the t pairs expanded from each match, stay a few
-# MB whatever the chunk size.
+# letters of their difference words first, in blocks of _BLOCK rows: a
+# block's inverse, its (rows, n) codes and comparison mask, and the t
+# pairs expanded from each match, stay a few MB whatever the input's
+# size.  The sweep runs both routes on one block of a window at a time,
+# so its temporaries are sized by _BLOCK, not by the window.
 _KEY_COLS = 3
 _BLOCK = 1 << 16
 
@@ -344,12 +353,15 @@ def reduced_indicator_rows(X: np.ndarray, t: int) -> np.ndarray:
 def _difference_codes(A: np.ndarray, n: int, dtype, width: int) -> np.ndarray:
     # Per column c < width, the consecutive differences D[c+j] =
     # A(c+j+1) - A(c+j) mod n for j < _KEY_COLS, packed base n into one
-    # integer of `dtype`.
-    ext = A[:, np.arange(width + _KEY_COLS) % n].astype(dtype)
+    # integer of `dtype`.  The differences stay in the row type; only the
+    # packed (rows, width) code is widened, and it is built in place.
+    ext = A[:, np.arange(width + _KEY_COLS) % n]
     D = _wrap(ext[:, 1:] - ext[:, :-1], n)
-    code = D[:, :width]
+    del ext
+    code = D[:, :width].astype(dtype)
     for j in range(1, _KEY_COLS):
-        code = code * n + D[:, j : j + width]
+        code *= n
+        code += D[:, j : j + width]
     return code
 
 
@@ -368,18 +380,22 @@ def transporter_classes(X: np.ndarray, t: int):
     inverse per row serves every member.  The shift is an action,
     (x^{-1} <| a^c) <| a^l = x^{-1} <| a^(c+l), so x^{-1} <| a^c = x holds
     exactly when x^{-1} <| a^(c+l) = x <| a^l: the transporter columns of
-    member l are the columns c of x itself, shifted by l.  The search
+    member l are the columns c of x itself, shifted by l.  The rows are
+    taken _BLOCK at a time, with one inverse per block.  The search
     compares the codes of columns 1.._KEY_COLS of x^{-1} <| a^c, for
     every c, with the one code of x, and the matches on the remaining
-    columns one by one.  The c found are the shifts carrying x^{-1} onto
-    x: none, or the n/t of a coset of the stabilizer when x^{-1} lies in
+    columns one by one.  Since the difference word rotates under the
+    shift (module docstring), the code of x^{-1} <| a^c packs letters
+    c..c+_KEY_COLS-1 of the difference word of x^{-1}: the first
+    _KEY_COLS letters of that of x^{-1} <| a^c, which fix its columns
+    1.._KEY_COLS.  The c found are the shifts carrying x^{-1} onto x:
+    none, or the n/t of a coset of the stabilizer when x^{-1} lies in
     the orbit of x's t members.  So a row has either 0 or n transporter
     pairs (l, c + l mod n).  Every pair is compared with y on all n
     columns before it is tallied; a mismatch raises ArithmeticError.
     """
     n = X.shape[1]
     m = n // t
-    Xi = inverse_rows(X)
     kt = np.min_scalar_type(-(n**_KEY_COLS))
     counts = np.zeros((len(X), m), dtype=np.intp)
     inv_rows, inv_ls = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
@@ -388,7 +404,8 @@ def transporter_classes(X: np.ndarray, t: int):
     twice = np.arange(2 * n) % n
     members = np.arange(1, t + 1)
     for lo in range(0, len(X), _BLOCK):
-        A, Ai = X[lo : lo + _BLOCK], Xi[lo : lo + _BLOCK]
+        A = X[lo : lo + _BLOCK]
+        Ai = inverse_rows(A)
         key = _difference_codes(Ai, n, kt, n)
         r, c = np.divmod(np.flatnonzero(key == _difference_codes(A, n, kt, 1)), n)
         xflat, iflat = A[r[:, None], twice].ravel(), Ai[r[:, None], twice].ravel()
@@ -703,15 +720,21 @@ def _windows(n: int, t: int, size: int):
     ones = math.factorial(n - 2)
     for lo in range(0, ones, _CHUNK):
         yield perm_block(n, lo, min(lo + _CHUNK, ones))
+    # A pruned window holds neither its blocks nor the last window across
+    # a yield, so the next one is built with only the consumer's window
+    # alive.
     blocks, rows = [], 0
     for block in _pruned_blocks(n):
         if rows + len(block) > _CHUNK:
             window, blocks, rows = np.concatenate(blocks), [], 0
             yield window
+            del window
         blocks.append(block)
         rows += len(block)
     if rows:
-        yield np.concatenate(blocks)
+        window = np.concatenate(blocks)
+        del blocks, block
+        yield window
 
 
 def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -904,14 +927,20 @@ def sweep(n: int, max_work: int | None = None) -> SweepResult:
     orbit of S_{n-1} and collect census tallies.
 
     Reads the t = n windows behind ``rep_chunks``, of at most ``_CHUNK``
-    rows (16 * 8! = 645,120), and splits each window over every t: one
-    ``canonical_orders`` scan keeps one canonical representative per
-    orbit, and both indicator routes run on it for every character index,
-    window by window.  The windows list only the candidates of the
-    column-1 lemma (module docstring), 14-15% of S_{n-1} at n = 11, 12;
-    each orbit's canonical member is one of them and lies in exactly one
-    window, so memory is bounded by the window size, and a candidate the
+    rows (16 * 8! = 645,120): one ``canonical_orders`` scan per window
+    keeps one canonical representative per orbit.  The window and its
+    orders are then split into blocks of ``_BLOCK`` rows, and each block
+    over every t: both indicator routes run on the block's
+    representatives for every character index.  The windows list only
+    the candidates of the column-1 lemma (module docstring), 14-15% of
+    S_{n-1} at n = 11, 12; each orbit's canonical member is one of them
+    and lies in exactly one window, and every row is judged alone, so
+    neither windows nor blocks change a tally, and a candidate the
     listing missed would leave sum(m_counts) short of ``permutations``.
+    Memory is bounded by one window plus one block: a window is released
+    before the next is built, and the routes' temporaries are sized by
+    the block (tracemalloc peak of sweep(11) 8.8 MiB, against 20.3 MiB
+    when the routes ran on a whole window's representatives).
     The workload guard counts the (n-1)! permutations as the stratum
     t = n and refuses more than ``max_work`` (default
     ``default_max_work()``) before any window is built.  Tallies use the
@@ -932,23 +961,33 @@ def sweep(n: int, max_work: int | None = None) -> SweepResult:
 
     for X in _windows(n, n, total):
         orders = canonical_orders(X)
-        for t in divisors(n):
-            reps = X.take(np.flatnonzero(orders == t), axis=0)
-            # Orbit-stabilizer: each orbit holds t permutations.
-            res.m_counts[t] += t * len(reps)
-            if not len(reps):
-                continue
-            res.orbit_counts[t] += len(reps)
-            red = reduced_indicator_rows(reps, t)
-            classes, rows, ls = transporter_classes(reps, t)
-            res.mismatches += int((red != _class_indicators(classes, n)).sum())
-            for v, c in _tally(red, t).items():
-                res.tallies[t][v] += c
-            _add_histogram(res.orbit_involutions[t], np.bincount(rows, minlength=len(reps)))
-            for l in range(1, t + 1):
-                fixed = (shift_rows(reps[rows[ls == l]], l) == np.arange(n)).sum(axis=1)
-                _add_histogram(res.involution_fixed_points[t], fixed)
+        for lo in range(0, len(X), _BLOCK):
+            _sweep_block(res, X[lo : lo + _BLOCK], orders[lo : lo + _BLOCK])
+        # The next window is built with this one released.
+        del X, orders
     return res
+
+
+def _sweep_block(res: SweepResult, X: np.ndarray, orders: np.ndarray) -> None:
+    # Both routes and the histograms on one block of a window, split over
+    # every t by the block's orbit orders; every row is judged alone.
+    n = res.n
+    for t in divisors(n):
+        reps = X.take(np.flatnonzero(orders == t), axis=0)
+        # Orbit-stabilizer: each orbit holds t permutations.
+        res.m_counts[t] += t * len(reps)
+        if not len(reps):
+            continue
+        res.orbit_counts[t] += len(reps)
+        red = reduced_indicator_rows(reps, t)
+        classes, rows, ls = transporter_classes(reps, t)
+        res.mismatches += int((red != _class_indicators(classes, n)).sum())
+        for v, c in _tally(red, t).items():
+            res.tallies[t][v] += c
+        _add_histogram(res.orbit_involutions[t], np.bincount(rows, minlength=len(reps)))
+        for l in range(1, t + 1):
+            fixed = (shift_rows(reps[rows[ls == l]], l) == np.arange(n)).sum(axis=1)
+            _add_histogram(res.involution_fixed_points[t], fixed)
 
 
 def _add_histogram(hist: dict[int, int], values: np.ndarray) -> None:

@@ -580,10 +580,12 @@ def test_rep_windows_in_place_match_rep_chunks():
 
 
 def test_t_n_stream_bounds_memory():
-    # Draining rep_chunks(11, 11) peaked at 20.62 MiB of tracemalloc when
-    # it listed all 10! rows of S_10 in windows of _CHUNK rows (suffix
-    # table cached).  The candidate listing holds a window too, and the
-    # pruned expansion's bounded levels beside it, and peaks no higher.
+    # Draining rep_chunks(11, 11) (suffix table cached) peaks at 10.71
+    # MiB of tracemalloc: a candidate window, its representatives' copy,
+    # and the pruned expansion's bounded levels.  11.55 MiB when a pruned
+    # window kept its list of blocks, and the window before it, alive
+    # across a yield; 20.62 when the stream listed all 10! rows of S_10
+    # in windows of _CHUNK rows.
     bulk.perm_block(11, 0, 1)
     tracemalloc.start()
     try:
@@ -592,7 +594,31 @@ def test_t_n_stream_bounds_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20.7 * 2**20, peak
+    assert peak < 11.0 * 2**20, peak
+
+
+def test_sweep_bounds_memory():
+    # sweep(11) (suffix table cached) peaks at 8.82 MiB of tracemalloc:
+    # one candidate window of at most _CHUNK rows with its orbit orders,
+    # and both routes' temporaries for one block of _BLOCK rows.  It
+    # peaked at 20.26 MiB when both routes ran on every representative of
+    # a window at once, with the window before held while the next was
+    # built; running them block by block took it to 10.97 MiB (the
+    # oracle's inverse per block then changes nothing here, its input
+    # being one block).  Difference codes built from a copy widened to
+    # the key dtype account for the last 2.15 MiB.  sweep(12) peaks at
+    # 18.33 MiB: 36.66 before, 25.22 with blocks, and the rest from
+    # pruned windows that held their blocks and the window before
+    # across a yield.
+    bulk.perm_block(11, 0, 1)
+    tracemalloc.start()
+    try:
+        res = bulk.sweep(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.mismatches == 0
+    assert peak < 9.5 * 2**20, peak
 
 
 def test_seeded_rows_workload_guard():
@@ -748,6 +774,10 @@ def test_sweep_chunk_split_is_deterministic(monkeypatch):
     assert split.mismatches == 0
     # A window that is no multiple of 8! splits suffix blocks and orbits.
     monkeypatch.setattr(bulk, "_CHUNK", 50_000)
+    assert bulk.sweep(10) == base10
+    # An odd block puts block edges inside the windows, off the 8!
+    # boundaries of the suffix blocks.
+    monkeypatch.setattr(bulk, "_BLOCK", 997)
     assert bulk.sweep(10) == base10
 
 
